@@ -67,79 +67,103 @@ let skip_value s i =
    duplicate keys under [Reject] — without building any [Value.t]. Failure
    positions, messages, and kinds are identical to the tree parser's, which
    is what lets a streaming engine skip plan-irrelevant subtrees and still
-   report byte-identical errors. *)
+   report byte-identical errors.
+
+   It runs on [Lexer.skim] tokens (immediate constants): the hooks get the
+   token's start offset, and a position record is built only when a check
+   fails. The walk's state is one record per call; the recursion itself
+   allocates nothing, except field names under [Reject]. *)
+type skim = {
+  lx : Json.Lexer.t;
+  dup_keys : Json.Parser.dup_policy;
+  reject : bool;
+  max_depth : int;
+  spend_node : int -> unit;
+  check_bytes : int -> unit;
+}
+
+module L = Json.Lexer
+module P = Json.Parser
+
+let charge c =
+  let off = L.tok_start c.lx in
+  c.spend_node off;
+  c.check_bytes off
+
+let depth_exceeded lx =
+  P.fail ~kind:(P.Budget_exceeded P.Depth_exceeded) (L.position lx)
+    "maximum nesting depth exceeded"
+
+let unexpected lx expected tok =
+  P.fail (L.tok_pos lx)
+    (Printf.sprintf "expected %s, got %s" expected (L.skim_name tok))
+
+let rec value c depth =
+  if depth > c.max_depth then depth_exceeded c.lx;
+  let tok = L.skim c.lx in
+  charge c;
+  value_tok c tok depth
+
+and value_tok c tok depth =
+  match tok with
+  | L.S_null | L.S_true | L.S_false | L.S_int | L.S_float | L.S_string -> ()
+  | L.S_lbracket -> array c depth
+  | L.S_lbrace -> object_ c depth
+  | L.S_rbrace | L.S_rbracket | L.S_colon | L.S_comma | L.S_eof ->
+      unexpected c.lx "a value" tok
+
+and array c depth =
+  (* The tree parser peeks for ']' — lexing the first element's token
+     before the depth check, with [position] left past it. Reading the
+     token first and depth-checking second reproduces that order. *)
+  match L.skim c.lx with
+  | L.S_rbracket -> ()
+  | tok ->
+      if depth + 1 > c.max_depth then depth_exceeded c.lx;
+      charge c;
+      value_tok c tok (depth + 1);
+      elements c depth
+
+and elements c depth =
+  match L.skim c.lx with
+  | L.S_comma ->
+      value c (depth + 1);
+      elements c depth
+  | L.S_rbracket -> ()
+  | tok -> unexpected c.lx "',' or ']'" tok
+
+and object_ c depth =
+  match L.skim c.lx with
+  | L.S_rbrace -> ()
+  | tok -> fields c [] tok depth
+
+(* Field names are materialized only under [Reject], for the duplicate
+   check at the closing brace. *)
+and fields c keys tok depth =
+  match tok with
+  | L.S_string -> (
+      let keys = if c.reject then (L.string_of_last c.lx, ()) :: keys else keys in
+      match L.skim c.lx with
+      | L.S_colon -> (
+          value c (depth + 1);
+          match L.skim c.lx with
+          | L.S_comma -> fields c keys (L.skim c.lx) depth
+          | L.S_rbrace ->
+              if c.reject then
+                ignore (P.apply_dup_policy c.dup_keys keys (L.tok_pos c.lx))
+          | tok -> unexpected c.lx "',' or '}'" tok)
+      | tok -> unexpected c.lx "':'" tok)
+  | _ -> unexpected c.lx "a field name" tok
+
+let skimmer lx ~dup_keys ~max_depth ~spend_node ~check_bytes =
+  { lx; dup_keys; reject = dup_keys = P.Reject; max_depth; spend_node;
+    check_bytes }
+
 let skim_value lx ~dup_keys ~max_depth ~depth ~spend_node ~check_bytes =
-  let module L = Json.Lexer in
-  let module P = Json.Parser in
-  let reject = dup_keys = P.Reject in
-  (* Under [Reject] field names must be materialized for the duplicate
-     check; otherwise they are skimmed like any other string. *)
-  let next_key () = if reject then L.next lx else L.next_skimming lx in
-  let rec value depth =
-    if depth > max_depth then
-      P.fail ~kind:(P.Budget_exceeded P.Depth_exceeded) (L.position lx)
-        "maximum nesting depth exceeded";
-    let tok, pos = L.next_skimming lx in
-    spend_node pos;
-    check_bytes pos;
-    value_tok tok pos depth
-  and value_tok tok pos depth =
-    match tok with
-    | L.Null_tok | L.True | L.False | L.Number_tok _ | L.String_tok _ -> ()
-    | L.Lbracket -> array depth
-    | L.Lbrace -> object_ depth
-    | (L.Rbrace | L.Rbracket | L.Colon | L.Comma | L.Eof) as t ->
-        P.fail pos (Printf.sprintf "expected a value, got %s" (L.token_name t))
-  and array depth =
-    (* The tree parser peeks for ']' — lexing the first element's token
-       before the depth check, with [position] left past it. Reading the
-       token first and depth-checking second reproduces that order. *)
-    let tok, pos = L.next_skimming lx in
-    match tok with
-    | L.Rbracket -> ()
-    | _ ->
-        if depth + 1 > max_depth then
-          P.fail ~kind:(P.Budget_exceeded P.Depth_exceeded) (L.position lx)
-            "maximum nesting depth exceeded";
-        spend_node pos;
-        check_bytes pos;
-        value_tok tok pos (depth + 1);
-        elements depth
-  and elements depth =
-    let tok, pos = L.next_skimming lx in
-    match tok with
-    | L.Comma -> value (depth + 1); elements depth
-    | L.Rbracket -> ()
-    | t -> P.fail pos (Printf.sprintf "expected ',' or ']', got %s" (L.token_name t))
-  and object_ depth =
-    let tok, pos = next_key () in
-    match tok with
-    | L.Rbrace -> ()
-    | _ -> fields [] tok pos depth
-  and fields acc tok key_pos depth =
-    match tok with
-    | L.String_tok key -> (
-        let tok, pos = L.next lx in
-        match tok with
-        | L.Colon -> (
-            value (depth + 1);
-            let tok, pos = L.next lx in
-            match tok with
-            | L.Comma ->
-                let tok, key_pos = next_key () in
-                fields ((key, ()) :: acc) tok key_pos depth
-            | L.Rbrace ->
-                if reject then
-                  ignore (P.apply_dup_policy dup_keys ((key, ()) :: acc) pos)
-            | t ->
-                P.fail pos
-                  (Printf.sprintf "expected ',' or '}', got %s" (L.token_name t)))
-        | t -> P.fail pos (Printf.sprintf "expected ':', got %s" (L.token_name t)))
-    | t ->
-        P.fail key_pos
-          (Printf.sprintf "expected a field name, got %s" (L.token_name t))
-  in
-  value depth
+  value (skimmer lx ~dup_keys ~max_depth ~spend_node ~check_bytes) depth
+
+let skim_rest lx tok ~dup_keys ~max_depth ~depth ~spend_node ~check_bytes =
+  value_tok (skimmer lx ~dup_keys ~max_depth ~spend_node ~check_bytes) tok depth
 
 let raw_key_at s ~colon =
   (* walk back over whitespace, expect closing quote, then scan to the

@@ -23,19 +23,36 @@ val skim_value :
   dup_keys:Json.Parser.dup_policy ->
   max_depth:int ->
   depth:int ->
-  spend_node:(Json.Lexer.position -> unit) ->
-  check_bytes:(Json.Lexer.position -> unit) ->
+  spend_node:(int -> unit) ->
+  check_bytes:(int -> unit) ->
   unit
 (** Consume exactly one JSON value from the lexer without building a tree,
     validating everything [Json.Parser] would: grammar, [max_depth] (the
     value itself sits at [depth], matching [parse_value]'s [value depth]),
     per-token node/byte budgets via the caller's hooks (shared with the
     enclosing document walk), string budgets, and duplicate keys under
-    [Reject]. String payloads are skimmed ({!Json.Lexer.next_skimming});
-    field names are materialized only when [dup_keys = Reject]. Raises the
-    parser's own exceptions with byte-identical positions, messages, and
-    kinds — recover with [Json.Parser.run]. This is the streaming
-    validator's instrument for subtrees its plan provably ignores. *)
+    [Reject]. Runs on {!Json.Lexer.skim}, so the lexer must have no
+    {!Json.Lexer.peek}ed token pending. Each hook is called once per token
+    with the token's start offset, right after the token is read — a hook
+    that fails builds its position with {!Json.Lexer.tok_pos}. Field names
+    are materialized only when [dup_keys = Reject]. Raises the parser's own
+    exceptions with byte-identical positions, messages, and kinds — recover
+    with [Json.Parser.run]. This is the streaming validator's instrument
+    for subtrees its plan provably ignores. *)
+
+val skim_rest :
+  Json.Lexer.t ->
+  Json.Lexer.skim_tok ->
+  dup_keys:Json.Parser.dup_policy ->
+  max_depth:int ->
+  depth:int ->
+  spend_node:(int -> unit) ->
+  check_bytes:(int -> unit) ->
+  unit
+(** {!skim_value} for a value whose first token the caller has already
+    read with {!Json.Lexer.skim}, depth-checked and charged to its hooks:
+    consumes the rest of the value. A walker that reads a token before
+    knowing whether to skip it — the head of an array — uses this. *)
 
 val raw_key_at : string -> colon:int -> (string * int, string) result
 (** Scan {e backward} from a colon position to extract the raw (still

@@ -71,35 +71,31 @@ let token_name = function
 
 let is_digit c = c >= '0' && c <= '9'
 
-let skip_ws lx =
-  let n = String.length lx.src in
-  let rec go () =
-    if lx.pos < n then
-      match lx.src.[lx.pos] with
-      | ' ' | '\t' | '\r' -> lx.pos <- lx.pos + 1; go ()
-      | '\n' ->
-          lx.pos <- lx.pos + 1;
-          lx.line <- lx.line + 1;
-          lx.bol <- lx.pos;
-          go ()
-      | _ -> ()
-  in
-  go ()
+(* The per-token helpers below recurse at top level, with their state in
+   arguments: a local recursive closure would be allocated on every call,
+   i.e. on every token. *)
+let rec skip_ws lx =
+  if lx.pos < String.length lx.src then
+    match String.unsafe_get lx.src lx.pos with
+    | ' ' | '\t' | '\r' ->
+        lx.pos <- lx.pos + 1;
+        skip_ws lx
+    | '\n' ->
+        lx.pos <- lx.pos + 1;
+        lx.line <- lx.line + 1;
+        lx.bol <- lx.pos;
+        skip_ws lx
+    | _ -> ()
+
+let rec keyword_at src start word i =
+  i >= String.length word
+  || String.unsafe_get src (start + i) = String.unsafe_get word i
+     && keyword_at src start word (i + 1)
 
 let expect_keyword lx word token =
   let n = String.length word in
-  let src = lx.src in
   let start = lx.pos in
-  let matches =
-    start + n <= String.length src
-    && (let rec eq i =
-          i >= n
-          || (String.unsafe_get src (start + i) = String.unsafe_get word i
-              && eq (i + 1))
-        in
-        eq 0)
-  in
-  if matches then begin
+  if start + n <= String.length lx.src && keyword_at lx.src start word 0 then begin
     lx.pos <- start + n;
     token
   end
@@ -206,6 +202,74 @@ let read_string lx =
   go ();
   Buffer.contents buf
 
+(* Helpers of [skim_string] below. *)
+let utf8_width u = if u < 0x80 then 1 else if u < 0x800 then 2 else 3
+
+(* Consume the escape after a backslash ([lx.pos] on the escape letter);
+   its decoded byte width. *)
+let skim_escape lx n =
+  match lx.src.[lx.pos] with
+  | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' ->
+      lx.pos <- lx.pos + 1;
+      1
+  | 'u' ->
+      lx.pos <- lx.pos + 1;
+      let u = read_hex4 lx in
+      if u >= 0xD800 && u <= 0xDBFF then begin
+        if lx.pos + 2 <= n && lx.src.[lx.pos] = '\\' && lx.src.[lx.pos + 1] = 'u'
+        then begin
+          lx.pos <- lx.pos + 2;
+          let lo = read_hex4 lx in
+          if lo >= 0xDC00 && lo <= 0xDFFF then 4
+          else error lx lx.pos "invalid low surrogate"
+        end
+        else error lx lx.pos "unpaired high surrogate"
+      end
+      else if u >= 0xDC00 && u <= 0xDFFF then
+        error lx lx.pos "unpaired low surrogate"
+      else utf8_width u
+  | c -> error lx lx.pos (Printf.sprintf "invalid escape '\\%c'" c)
+
+(* [len] is the decoded length so far of the literal opened at [start]. *)
+let rec skim_chars lx n start len =
+  (match lx.max_string_bytes with
+   | Some limit when len > limit ->
+       raise
+         (Limit_error
+            ( position_at lx start,
+              Printf.sprintf "string literal exceeds %d bytes" limit ))
+   | _ -> ());
+  if lx.pos >= n then error lx start "unterminated string"
+  else
+    match lx.src.[lx.pos] with
+    | '"' ->
+        lx.pos <- lx.pos + 1;
+        len
+    | '\\' ->
+        lx.str_escaped <- true;
+        lx.pos <- lx.pos + 1;
+        if lx.pos >= n then error lx start "unterminated string";
+        let width = skim_escape lx n in
+        skim_chars lx n start (len + width)
+    | c when Char.code c < 0x20 ->
+        error lx lx.pos "unescaped control character in string"
+    | _ ->
+        (* Run of plain bytes: consume the whole stretch in one tight
+           loop. The budget is re-tested at the top of [skim_chars] before
+           the stopping byte is examined, so a budget kill still wins over
+           any later syntax error, exactly as in the per-byte loop. *)
+        let p = ref (lx.pos + 1) in
+        while
+          !p < n
+          && (let c = String.unsafe_get lx.src !p in
+              c <> '"' && c <> '\\' && Char.code c >= 0x20)
+        do
+          incr p
+        done;
+        let len = len + (!p - lx.pos) in
+        lx.pos <- !p;
+        skim_chars lx n start len
+
 (* Validate and skip one string literal without materializing its unescaped
    contents. Mirrors [read_string] check-for-check: the budget is tested at
    the top of every iteration against the *decoded* length accumulated so
@@ -213,127 +277,20 @@ let read_string lx =
    position, so a skimming parse fails exactly where a materializing parse
    would. Returns the decoded (unescaped) byte length. *)
 let skim_string lx =
-  let n = String.length lx.src in
   let start = lx.pos in
   lx.pos <- lx.pos + 1; (* opening quote *)
   lx.str_start <- lx.pos;
   lx.str_escaped <- false;
-  let len = ref 0 in
-  let check_budget () =
-    match lx.max_string_bytes with
-    | Some limit when !len > limit ->
-        raise
-          (Limit_error
-             ( position_at lx start,
-               Printf.sprintf "string literal exceeds %d bytes" limit ))
-    | _ -> ()
-  in
-  let utf8_width u = if u < 0x80 then 1 else if u < 0x800 then 2 else 3 in
-  let rec go () =
-    check_budget ();
-    if lx.pos >= n then error lx start "unterminated string"
-    else
-      match lx.src.[lx.pos] with
-      | '"' -> lx.pos <- lx.pos + 1
-      | '\\' ->
-          lx.str_escaped <- true;
-          lx.pos <- lx.pos + 1;
-          if lx.pos >= n then error lx start "unterminated string";
-          (match lx.src.[lx.pos] with
-           | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' ->
-               incr len;
-               lx.pos <- lx.pos + 1
-           | 'u' ->
-               lx.pos <- lx.pos + 1;
-               let u = read_hex4 lx in
-               if u >= 0xD800 && u <= 0xDBFF then begin
-                 if lx.pos + 2 <= n && lx.src.[lx.pos] = '\\' && lx.src.[lx.pos + 1] = 'u'
-                 then begin
-                   lx.pos <- lx.pos + 2;
-                   let lo = read_hex4 lx in
-                   if lo >= 0xDC00 && lo <= 0xDFFF then len := !len + 4
-                   else error lx lx.pos "invalid low surrogate"
-                 end
-                 else error lx lx.pos "unpaired high surrogate"
-               end
-               else if u >= 0xDC00 && u <= 0xDFFF then
-                 error lx lx.pos "unpaired low surrogate"
-               else len := !len + utf8_width u
-           | c -> error lx lx.pos (Printf.sprintf "invalid escape '\\%c'" c));
-          go ()
-      | c when Char.code c < 0x20 ->
-          error lx lx.pos "unescaped control character in string"
-      | _ ->
-          (* Run of plain bytes: consume the whole stretch in one tight
-             loop. The budget is re-tested at the top of [go] before the
-             stopping byte is examined, so a budget kill still wins over
-             any later syntax error, exactly as in the per-byte loop. *)
-          let p = ref (lx.pos + 1) in
-          while
-            !p < n
-            && (let c = String.unsafe_get lx.src !p in
-                c <> '"' && c <> '\\' && Char.code c >= 0x20)
-          do
-            incr p
-          done;
-          len := !len + (!p - lx.pos);
-          lx.pos <- !p;
-          go ()
-  in
-  go ();
+  let len = skim_chars lx (String.length lx.src) start 0 in
   lx.str_stop <- lx.pos - 1;
-  !len
+  len
 
 (* Largest digit count that can never overflow a 63-bit [int]. *)
 let max_safe_int_digits = 18
 
-(* Number scan that avoids the literal copy on the common integer path.
-   Consumes exactly the span [read_number] would, then classifies: a plain
-   in-range integer literal is evaluated in place; anything else (floats,
-   oversized or malformed literals) falls back to [Number.parse] on the
-   substring so values and error messages stay identical. *)
-let skim_number lx =
-  let n = String.length lx.src in
-  let start = lx.pos in
-  let neg = lx.pos < n && lx.src.[lx.pos] = '-' in
-  if neg then lx.pos <- lx.pos + 1;
-  let digits_start = lx.pos in
-  while lx.pos < n && is_digit lx.src.[lx.pos] do lx.pos <- lx.pos + 1 done;
-  let digits_stop = lx.pos in
-  let has_frac = lx.pos < n && lx.src.[lx.pos] = '.' in
-  if has_frac then begin
-    lx.pos <- lx.pos + 1;
-    while lx.pos < n && is_digit lx.src.[lx.pos] do lx.pos <- lx.pos + 1 done
-  end;
-  let has_exp = lx.pos < n && (lx.src.[lx.pos] = 'e' || lx.src.[lx.pos] = 'E') in
-  if has_exp then begin
-    lx.pos <- lx.pos + 1;
-    if lx.pos < n && (lx.src.[lx.pos] = '+' || lx.src.[lx.pos] = '-') then
-      lx.pos <- lx.pos + 1;
-    while lx.pos < n && is_digit lx.src.[lx.pos] do lx.pos <- lx.pos + 1 done
-  end;
-  let ndigits = digits_stop - digits_start in
-  let valid_int =
-    (not has_frac) && (not has_exp) && ndigits > 0
-    && (lx.src.[digits_start] <> '0' || ndigits = 1)
-    && ndigits <= max_safe_int_digits
-  in
-  if valid_int then begin
-    let v = ref 0 in
-    for i = digits_start to digits_stop - 1 do
-      v := (!v * 10) + (Char.code lx.src.[i] - Char.code '0')
-    done;
-    Number_tok (Number.Int_lit (if neg then - !v else !v))
-  end
-  else
-    let literal = String.sub lx.src start (lx.pos - start) in
-    match Number.parse literal with
-    | Ok parsed -> Number_tok parsed
-    | Error msg -> error lx start msg
-
 (* --- Allocation-free skim tokens ----------------------------------------
 
-   [skim] is [next_skimming] stripped for fused hot loops: every token is an
+   [skim] is the lexer of the fused hot loops: every token is an
    immediate constant, the start offset is latched in [tok_start] (a
    position record is built only on demand via [tok_pos]), string contents
    stay in the source (recoverable through [last_string_span] /
@@ -371,11 +328,20 @@ let skim_name = function
   | S_string -> "string"
   | S_eof -> "end of input"
 
+(* Classify through [Number.parse] a literal [skim_number_kind] cannot
+   classify in place. *)
+let skim_number_fallback lx start =
+  let literal = String.sub lx.src start (lx.pos - start) in
+  match Number.parse literal with
+  | Ok (Number.Int_lit _) -> S_int
+  | Ok (Number.Float_lit _) -> S_float
+  | Error msg -> error lx start msg
+
 (* Classify a number literal in place. The well-formed cases whose magnitude
    provably fits the double range return without allocating; everything
    else — oversized integers, huge exponents, malformed literals — falls
    back to [Number.parse] on the substring so classification and error
-   messages match [skim_number] exactly (overflow to infinity is a parse
+   messages match [read_number] exactly (overflow to infinity is a parse
    error, so it must not be classified blindly as a float). *)
 let skim_number_kind lx =
   let n = String.length lx.src in
@@ -416,16 +382,10 @@ let skim_number_kind lx =
     && ((not has_frac) || !frac_digits > 0)
     && ((not has_exp) || !exp_digits > 0)
   in
-  let fallback () =
-    let literal = String.sub lx.src start (lx.pos - start) in
-    match Number.parse literal with
-    | Ok (Number.Int_lit _) -> S_int
-    | Ok (Number.Float_lit _) -> S_float
-    | Error msg -> error lx start msg
-  in
-  if not well_formed then fallback ()
+  if not well_formed then skim_number_fallback lx start
   else if (not has_frac) && not has_exp then
-    if ndigits <= max_safe_int_digits then S_int else fallback ()
+    if ndigits <= max_safe_int_digits then S_int
+    else skim_number_fallback lx start
   else begin
     (* magnitude < 10^(integer digits + signed exponent); safe when that
        bound stays below 10^308 <= DBL_MAX. *)
@@ -434,7 +394,7 @@ let skim_number_kind lx =
       else if !exp_digits > 5 then false
       else ndigits + (if !exp_neg then - !exp_val else !exp_val) <= 308
     in
-    if safe then S_float else fallback ()
+    if safe then S_float else skim_number_fallback lx start
   end
 
 let skim lx =
@@ -544,38 +504,3 @@ let peek lx =
       let t = lex_token lx in
       lx.lookahead <- Some t;
       t
-
-(* Like [next], but string literals are skimmed instead of unescaped: the
-   returned token is [String_tok ""] with the same budget enforcement and
-   error behavior as a materializing lex. A pending [peek]ed token is
-   consumed as-is (its string, if any, is already materialized). *)
-let next_skimming lx =
-  match lx.lookahead with
-  | Some (tok, pos) ->
-      lx.lookahead <- None;
-      let tok = match tok with String_tok _ -> String_tok "" | t -> t in
-      (tok, pos)
-  | None ->
-      skip_ws lx;
-      let start = lx.pos in
-      let pos = position_at lx start in
-      let tok =
-        if lx.pos >= String.length lx.src then Eof
-        else
-          match lx.src.[lx.pos] with
-          | '{' -> lx.pos <- lx.pos + 1; Lbrace
-          | '}' -> lx.pos <- lx.pos + 1; Rbrace
-          | '[' -> lx.pos <- lx.pos + 1; Lbracket
-          | ']' -> lx.pos <- lx.pos + 1; Rbracket
-          | ':' -> lx.pos <- lx.pos + 1; Colon
-          | ',' -> lx.pos <- lx.pos + 1; Comma
-          | 't' -> expect_keyword lx "true" True
-          | 'f' -> expect_keyword lx "false" False
-          | 'n' -> expect_keyword lx "null" Null_tok
-          | '"' ->
-              let _len = skim_string lx in
-              String_tok ""
-          | '-' | '0' .. '9' -> skim_number lx
-          | c -> error lx start (Printf.sprintf "unexpected character %C" c)
-      in
-      (tok, pos)

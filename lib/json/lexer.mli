@@ -43,16 +43,6 @@ val next : t -> token * position
 val peek : t -> token * position
 (** Like {!next} without consuming. *)
 
-val next_skimming : t -> token * position
-(** Like {!next}, but string literals are validated and skipped without
-    materializing their unescaped contents: the token comes back as
-    [String_tok ""]. Budget enforcement ([max_string_bytes], counted in
-    decoded bytes) and every malformed-input error — position and message —
-    are identical to {!next}, so a skimming parse fails exactly where a
-    materializing parse would. A token already buffered by {!peek} is
-    returned as lexed. The streaming engines use this for payloads whose
-    contents provably don't influence the result. *)
-
 val position : t -> position
 (** Current position (after the last consumed token). *)
 

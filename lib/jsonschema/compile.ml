@@ -13,9 +13,16 @@
      cells so the plan is an ordinary immutable closure graph.
    - per-keyword checks are specialized: absent keywords cost nothing,
      [type] lowers to a kind-dispatch on precomputed booleans, [enum]
-     membership goes through a hashed literal set, [properties] lookup
-     through a hash table, [pattern]/[patternProperties]/[propertyNames]
-     regexes and [format] checkers are bound at build time.
+     membership goes through a hashed literal set, [pattern]/
+     [patternProperties]/[propertyNames] regexes and [format] checkers are
+     bound at build time.
+   - per-field dispatch is hashed and built at compile time: a node's
+     [properties] and [required] names share one open-addressing name
+     table ({!names}), so one probe per instance field answers both
+     keywords and an object costs O(fields), not O(fields × properties).
+   - instance and schema paths travel down the plan as reversed token
+     lists (one cons per step, keyword and property tokens preallocated)
+     and become [Json.Pointer.t]s only when an error record is built.
    - trivially-true subschemas (boolean [true], `{}`, annotation-only
      nodes) are pruned to a constant check.
 
@@ -44,35 +51,63 @@ type rt = {
   tele : Telemetry.sink;
 }
 
+(* A location inside the instance or the schema, innermost token first.
+   Extending it is one cons; {!ptr} turns it into a [Json.Pointer.t], and
+   only error records ever need that. *)
+type path = Json.Pointer.token list
+
+let ptr (p : path) : Json.Pointer.t = List.rev p
+
 (* A compiled check: [cc rt fuel depth schema_at at v] mirrors
    [Validate.check ctx ~fuel ~depth ~schema_at ~at s v]. *)
-type cc =
-  rt -> int -> int -> Json.Pointer.t -> Json.Pointer.t -> Json.Value.t ->
-  error list
+type cc = rt -> int -> int -> path -> path -> Json.Value.t -> error list
 
 (* A compiled keyword: pushes errors onto a reversed accumulator, exactly
    like the interpreter's [errors] ref, so orderings agree by construction. *)
 type kc =
-  rt -> error list ref -> int -> int -> Json.Pointer.t -> Json.Pointer.t ->
-  Json.Value.t -> unit
+  rt -> error list ref -> int -> int -> path -> path -> Json.Value.t -> unit
 
-let kp at k = Json.Pointer.append at (Json.Pointer.Key k)
-let ip at i = Json.Pointer.append at (Json.Pointer.Index i)
+let kp (at : path) k : path = Json.Pointer.Key k :: at
+let ip (at : path) i : path = Json.Pointer.Index i :: at
 let add errors e = errors := e :: !errors
 let add_all errors es = errors := List.rev_append es !errors
 
+(* schema-path tokens of the keywords that descend into subschemas *)
+let t_ref = Json.Pointer.Key "$ref"
+let t_items = Json.Pointer.Key "items"
+let t_additional_items = Json.Pointer.Key "additionalItems"
+let t_contains = Json.Pointer.Key "contains"
+let t_property_names = Json.Pointer.Key "propertyNames"
+let t_properties = Json.Pointer.Key "properties"
+let t_pattern_properties = Json.Pointer.Key "patternProperties"
+let t_additional_properties = Json.Pointer.Key "additionalProperties"
+let t_dependencies = Json.Pointer.Key "dependencies"
+let t_all_of = Json.Pointer.Key "allOf"
+let t_any_of = Json.Pointer.Key "anyOf"
+let t_one_of = Json.Pointer.Key "oneOf"
+let t_not = Json.Pointer.Key "not"
+let t_if = Json.Pointer.Key "if"
+let t_then = Json.Pointer.Key "then"
+let t_else = Json.Pointer.Key "else"
+
 let err ~at ~schema_at sk message =
-  { Validate.instance_at = at; schema_at = kp schema_at sk; message }
+  { Validate.instance_at = ptr at; schema_at = ptr (kp schema_at sk); message }
 
 let depth_error rt ~schema_at ~at =
-  { Validate.instance_at = at;
-    schema_at;
+  { Validate.instance_at = ptr at;
+    schema_at = ptr schema_at;
     message =
       Printf.sprintf
         "maximum validation depth %d exceeded (deeply nested instance or recursive schema)"
         rt.max_depth }
 
 let budget_msg = "reference expansion budget exhausted (cyclic schema?)"
+
+(* The per-node depth gauge boxes a float; pay for it only on a recording
+   sink, so [Telemetry.nop] runs allocate nothing per node for it. *)
+let gauge_depth rt depth =
+  if Telemetry.is_recording rt.tele then
+    Telemetry.gauge_max rt.tele "validate.max_depth" (float_of_int depth)
 
 (* keyword-counter keys, built once per module instead of per evaluation *)
 let kw_ref = "validate.kw.$ref"
@@ -146,6 +181,72 @@ let literal_set vs =
     | None -> false
     | Some bucket -> List.exists (Json.Value.equal v) bucket
 
+(* --- name tables ---------------------------------------------------------- *)
+
+(* Field-name tables, built once at compile time: distinct names numbered
+   densely in first-occurrence order and found by open addressing over the
+   name's bytes (FNV-1a). A probe neither allocates nor raises — an absent
+   name answers -1 — and the streaming walker probes straight from a key's
+   source span without materializing it. *)
+type names = {
+  keys : string array;  (* index -> name *)
+  slots : int array;    (* power-of-two open-addressing table; -1 = empty *)
+}
+
+let fnv s i stop =
+  let h = ref 0x811c9dc5 in
+  for k = i to stop - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s k)) * 0x01000193 land max_int
+  done;
+  !h
+
+let rec span_eq src i s k n =
+  k >= n
+  || String.unsafe_get s k = String.unsafe_get src (i + k)
+     && span_eq src i s (k + 1) n
+
+let rec probe_span t src i stop j =
+  let idx = Array.unsafe_get t.slots j in
+  if idx < 0 then -1
+  else
+    let k = Array.unsafe_get t.keys idx in
+    let n = stop - i in
+    if String.length k = n && span_eq src i k 0 n then idx
+    else probe_span t src i stop ((j + 1) land (Array.length t.slots - 1))
+
+let find_span t src i stop =
+  probe_span t src i stop (fnv src i stop land (Array.length t.slots - 1))
+
+let find t s = find_span t s 0 (String.length s)
+
+(* first occurrence of each key wins, in order — linear *)
+let first_wins key xs =
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun x ->
+      let k = key x in
+      if Hashtbl.mem seen k then false
+      else begin
+        Hashtbl.add seen k ();
+        true
+      end)
+    xs
+
+let names_of_list ks =
+  let keys = Array.of_list (first_wins Fun.id ks) in
+  let size = ref 8 in
+  while !size < 2 * Array.length keys do size := 2 * !size done;
+  let slots = Array.make !size (-1) in
+  let mask = !size - 1 in
+  Array.iteri
+    (fun idx k ->
+      let rec place j =
+        if slots.(j) < 0 then slots.(j) <- idx else place ((j + 1) land mask)
+      in
+      place (fnv k 0 (String.length k) land mask))
+    keys;
+  { keys; slots }
+
 (* --- plan lowering ------------------------------------------------------ *)
 
 type stats = {
@@ -167,7 +268,9 @@ type builder = {
 let unlinked_cc : cc = fun _ _ _ _ _ _ -> assert false
 
 (* compiled [dependencies] entry *)
-type cdep = Cdep_required of string list | Cdep_schema of cc
+type cdep =
+  | Cdep_required of string list
+  | Cdep_schema of cc * Json.Pointer.token  (* schema, its trigger's token *)
 
 let rec compile_schema b (s : Schema.t) : cc =
   b.st.nodes <- b.st.nodes + 1;
@@ -180,7 +283,9 @@ let rec compile_schema b (s : Schema.t) : cc =
       fun rt _fuel depth schema_at at _v ->
         if depth > rt.max_depth then [ depth_error rt ~schema_at ~at ]
         else
-          [ { Validate.instance_at = at; schema_at; message = "schema is false" } ]
+          [ { Validate.instance_at = ptr at;
+              schema_at = ptr schema_at;
+              message = "schema is false" } ]
   | Schema.Schema n -> (
       match kchecks b n with
       | [||] ->
@@ -191,18 +296,18 @@ let rec compile_schema b (s : Schema.t) : cc =
           fun rt _fuel depth schema_at at _v ->
             if depth > rt.max_depth then [ depth_error rt ~schema_at ~at ]
             else begin
-              Telemetry.gauge_max rt.tele "validate.max_depth"
-                (float_of_int depth);
+              gauge_depth rt depth;
               []
             end
       | ks ->
           fun rt fuel depth schema_at at v ->
             if depth > rt.max_depth then [ depth_error rt ~schema_at ~at ]
             else begin
-              Telemetry.gauge_max rt.tele "validate.max_depth"
-                (float_of_int depth);
+              gauge_depth rt depth;
               let errors = ref [] in
-              Array.iter (fun k -> k rt errors fuel depth schema_at at v) ks;
+              for i = 0 to Array.length ks - 1 do
+                (Array.unsafe_get ks i) rt errors fuel depth schema_at at v
+              done;
               List.rev !errors
             end)
 
@@ -259,7 +364,7 @@ and kchecks b (n : Schema.node) : kc array =
                  add errors (err ~at ~schema_at "$ref" budget_msg)
                else
                  add_all errors
-                   (!cell rt (fuel - 1) (depth + 1) (kp schema_at "$ref") at v))
+                   (!cell rt (fuel - 1) (depth + 1) (t_ref :: schema_at) at v))
        | Error msg ->
            addk (fun rt errors fuel _depth schema_at at _v ->
                Telemetry.count rt.tele kw_ref 1;
@@ -354,7 +459,10 @@ and kchecks b (n : Schema.node) : kc array =
        addk (fun rt errors _fuel _depth schema_at at v ->
            match Validate.number_of v with
            | None -> ()
-           | Some f -> Array.iter (fun c -> c rt errors schema_at at f v) ncs));
+           | Some f ->
+               for i = 0 to Array.length ncs - 1 do
+                 ncs.(i) rt errors schema_at at f v
+               done));
   (* string: length bounds share one UTF-8 count, regex and format checker
      bound at build time *)
   (let schecks = ref [] in
@@ -411,7 +519,9 @@ and kchecks b (n : Schema.node) : kc array =
            match v with
            | Json.Value.String s ->
                let len = if need_len then Validate.utf8_length s else 0 in
-               Array.iter (fun c -> c rt errors schema_at at s len) scs
+               for i = 0 to Array.length scs - 1 do
+                 scs.(i) rt errors schema_at at s len
+               done
            | _ -> ()));
   (* array *)
   (let min_i = n.Schema.min_items and max_i = n.Schema.max_items in
@@ -470,7 +580,7 @@ and kchecks b (n : Schema.node) : kc array =
               | None -> ()
               | Some (`One cc) ->
                   Telemetry.count rt.tele kw_items 1;
-                  let sat = kp schema_at "items" in
+                  let sat = t_items :: schema_at in
                   List.iteri
                     (fun i x ->
                       add_all errors
@@ -478,7 +588,7 @@ and kchecks b (n : Schema.node) : kc array =
                     elems
               | Some (`Many (ccs, add_cc)) ->
                   Telemetry.count rt.tele kw_items 1;
-                  let isat = kp schema_at "items" in
+                  let isat = t_items :: schema_at in
                   let nss = Array.length ccs in
                   let rec go i xs =
                     match xs with
@@ -493,7 +603,7 @@ and kchecks b (n : Schema.node) : kc array =
                         match add_cc with
                         | None -> ()
                         | Some cc ->
-                            let asat = kp schema_at "additionalItems" in
+                            let asat = t_additional_items :: schema_at in
                             List.iteri
                               (fun j x ->
                                 add_all errors
@@ -506,7 +616,7 @@ and kchecks b (n : Schema.node) : kc array =
               | None -> ()
               | Some cc ->
                   Telemetry.count rt.tele kw_contains 1;
-                  let csat = kp schema_at "contains" in
+                  let csat = t_contains :: schema_at in
                   let hits =
                     List.length
                       (List.filter
@@ -529,27 +639,31 @@ and kchecks b (n : Schema.node) : kc array =
                               hi))
                   | _ -> ())
          | _ -> ()));
-  (* object *)
+  (* object: [properties] and [required] share one name table (required
+     names first, so a required name's index doubles as its slot in the
+     per-object seen mask); a single pass over the fields probes it once per
+     field. The pass evaluates [properties]/[patternProperties]/
+     [additionalProperties] ahead of [required] and [propertyNames], so
+     their errors are held back and appended after those keywords' errors —
+     the interpreter's order. *)
   (let min_p = n.Schema.min_properties and max_p = n.Schema.max_properties in
    let required = n.Schema.required in
    let prop_names_cc = Option.map (compile_schema b) n.Schema.property_names in
-   let props_tbl =
-     match n.Schema.properties with
-     | [] -> None
-     | props ->
-         let tbl = Hashtbl.create (2 * List.length props) in
-         List.iter
-           (fun (k, s) ->
-             (* first binding wins, like the interpreter's [assoc_opt] *)
-             if not (Hashtbl.mem tbl k) then
-               Hashtbl.add tbl k (compile_schema b s))
-           props;
-         Some tbl
-   in
+   (* first binding wins, like the interpreter's [assoc_opt]; later
+      duplicates are never compiled *)
+   let props = first_wins fst n.Schema.properties in
+   let nreq = List.length (first_wins Fun.id required) in
+   let names = names_of_list (required @ List.map fst props) in
+   let req = Array.of_list (List.map (fun r -> (find names r, r)) required) in
+   let fprop = Array.make (Array.length names.keys) None in
+   List.iter
+     (fun (k, s) ->
+       fprop.(find names k) <- Some (compile_schema b s, Json.Pointer.Key k))
+     props;
    let pat_props =
      Array.of_list
        (List.map
-          (fun (src, re, s) -> (src, re, compile_schema b s))
+          (fun (src, re, s) -> (Json.Pointer.Key src, re, compile_schema b s))
           n.Schema.pattern_properties)
    in
    let add_props = Option.map (compile_schema b) n.Schema.additional_properties in
@@ -558,13 +672,14 @@ and kchecks b (n : Schema.node) : kc array =
        (fun (trigger, dep) ->
          match dep with
          | Schema.Dep_required needed -> (trigger, Cdep_required needed)
-         | Schema.Dep_schema s -> (trigger, Cdep_schema (compile_schema b s)))
+         | Schema.Dep_schema s ->
+             ( trigger,
+               Cdep_schema (compile_schema b s, Json.Pointer.Key trigger) ))
        n.Schema.dependencies
    in
+   let per_field = props <> [] || Array.length pat_props > 0 || add_props <> None in
    if min_p <> None || max_p <> None || required <> [] || prop_names_cc <> None
-      || props_tbl <> None
-      || Array.length pat_props > 0
-      || add_props <> None || deps <> []
+      || per_field || deps <> []
    then
      addk (fun rt errors _fuel depth schema_at at v ->
          match v with
@@ -588,66 +703,70 @@ and kchecks b (n : Schema.node) : kc array =
                         (err ~at ~schema_at "maxProperties"
                            (Printf.sprintf "%d properties > %d" nfields m))
               end);
+             let seen = if nreq > 0 then Bytes.make nreq '\000' else Bytes.empty in
+             let field_errors = ref [] in
+             if nreq > 0 || per_field then begin
+               let psat = t_properties :: schema_at in
+               List.iter
+                 (fun (k, x) ->
+                   let i = find names k in
+                   if i >= 0 && i < nreq then Bytes.unsafe_set seen i '\001';
+                   if per_field then begin
+                     let matched = ref false in
+                     (if i >= 0 then
+                        match Array.unsafe_get fprop i with
+                        | None -> ()
+                        | Some (cc, tok) ->
+                            matched := true;
+                            Telemetry.count rt.tele kw_properties 1;
+                            add_all field_errors
+                              (cc rt rt.max_fuel (depth + 1) (tok :: psat)
+                                 (tok :: at) x));
+                     for j = 0 to Array.length pat_props - 1 do
+                       let src, re, cc = pat_props.(j) in
+                       if Re.execp re k then begin
+                         matched := true;
+                         Telemetry.count rt.tele kw_pattern_properties 1;
+                         add_all field_errors
+                           (cc rt rt.max_fuel (depth + 1)
+                              (src :: t_pattern_properties :: schema_at)
+                              (kp at k) x)
+                       end
+                     done;
+                     if not !matched then
+                       match add_props with
+                       | None -> ()
+                       | Some cc ->
+                           Telemetry.count rt.tele kw_additional_properties 1;
+                           add_all field_errors
+                             (cc rt rt.max_fuel (depth + 1)
+                                (t_additional_properties :: schema_at)
+                                (kp at k) x)
+                   end)
+                 fields
+             end;
              if required <> [] then begin
                Telemetry.count rt.tele kw_required 1;
-               List.iter
-                 (fun r ->
-                   if not (List.mem_assoc r fields) then
-                     add errors
-                       (err ~at ~schema_at "required"
-                          (Printf.sprintf "missing required property %S" r)))
-                 required
+               for j = 0 to Array.length req - 1 do
+                 let i, r = req.(j) in
+                 if Bytes.unsafe_get seen i = '\000' then
+                   add errors
+                     (err ~at ~schema_at "required"
+                        (Printf.sprintf "missing required property %S" r))
+               done
              end;
              (match prop_names_cc with
               | None -> ()
               | Some cc ->
                   Telemetry.count rt.tele kw_property_names 1;
-                  let psat = kp schema_at "propertyNames" in
+                  let psat = t_property_names :: schema_at in
                   List.iter
                     (fun (k, _) ->
                       add_all errors
                         (cc rt rt.max_fuel (depth + 1) psat (kp at k)
                            (Json.Value.String k)))
                     fields);
-             (if props_tbl <> None || Array.length pat_props > 0
-                 || add_props <> None
-              then
-                List.iter
-                  (fun (k, x) ->
-                    let matched = ref false in
-                    (match props_tbl with
-                     | None -> ()
-                     | Some tbl -> (
-                         match Hashtbl.find_opt tbl k with
-                         | None -> ()
-                         | Some cc ->
-                             matched := true;
-                             Telemetry.count rt.tele kw_properties 1;
-                             add_all errors
-                               (cc rt rt.max_fuel (depth + 1)
-                                  (kp (kp schema_at "properties") k) (kp at k)
-                                  x)));
-                    Array.iter
-                      (fun (src, re, cc) ->
-                        if Re.execp re k then begin
-                          matched := true;
-                          Telemetry.count rt.tele kw_pattern_properties 1;
-                          add_all errors
-                            (cc rt rt.max_fuel (depth + 1)
-                               (kp (kp schema_at "patternProperties") src)
-                               (kp at k) x)
-                        end)
-                      pat_props;
-                    if not !matched then
-                      match add_props with
-                      | None -> ()
-                      | Some cc ->
-                          Telemetry.count rt.tele kw_additional_properties 1;
-                          add_all errors
-                            (cc rt rt.max_fuel (depth + 1)
-                               (kp schema_at "additionalProperties") (kp at k)
-                               x))
-                  fields);
+             if !field_errors <> [] then errors := !field_errors @ !errors;
              List.iter
                (fun (trigger, dep) ->
                  if List.mem_assoc trigger fields then begin
@@ -663,10 +782,10 @@ and kchecks b (n : Schema.node) : kc array =
                                      "property %S requires property %S" trigger
                                      k)))
                          needed
-                   | Cdep_schema cc ->
+                   | Cdep_schema (cc, tok) ->
                        add_all errors
                          (cc rt rt.max_fuel (depth + 1)
-                            (kp (kp schema_at "dependencies") trigger) at v)
+                            (tok :: t_dependencies :: schema_at) at v)
                  end)
                deps
          | _ -> ()));
@@ -677,7 +796,7 @@ and kchecks b (n : Schema.node) : kc array =
        let ccs = Array.of_list (List.map (compile_schema b) ss) in
        addk (fun rt errors fuel depth schema_at at v ->
            Telemetry.count rt.tele kw_all_of 1;
-           let asat = kp schema_at "allOf" in
+           let asat = t_all_of :: schema_at in
            Array.iteri
              (fun i cc ->
                add_all errors (cc rt fuel (depth + 1) (ip asat i) at v))
@@ -688,12 +807,12 @@ and kchecks b (n : Schema.node) : kc array =
        let ccs = Array.of_list (List.map (compile_schema b) ss) in
        addk (fun rt errors fuel depth schema_at at v ->
            Telemetry.count rt.tele kw_any_of 1;
-           let sat = kp schema_at "anyOf" in
+           let sat = t_any_of :: schema_at in
            if not (Array.exists (fun cc -> cc rt fuel (depth + 1) sat at v = []) ccs)
            then
              add errors
-               { Validate.instance_at = at;
-                 schema_at = sat;
+               { Validate.instance_at = ptr at;
+                 schema_at = ptr sat;
                  message = "no alternative matches" }));
   (match n.Schema.one_of with
    | [] -> ()
@@ -701,7 +820,7 @@ and kchecks b (n : Schema.node) : kc array =
        let ccs = Array.of_list (List.map (compile_schema b) ss) in
        addk (fun rt errors fuel depth schema_at at v ->
            Telemetry.count rt.tele kw_one_of 1;
-           let sat = kp schema_at "oneOf" in
+           let sat = t_one_of :: schema_at in
            let hits =
              Array.fold_left
                (fun acc cc ->
@@ -710,8 +829,8 @@ and kchecks b (n : Schema.node) : kc array =
            in
            if hits <> 1 then
              add errors
-               { Validate.instance_at = at;
-                 schema_at = sat;
+               { Validate.instance_at = ptr at;
+                 schema_at = ptr sat;
                  message =
                    Printf.sprintf "%d alternatives match (need exactly 1)" hits }));
   (match n.Schema.not_ with
@@ -720,7 +839,7 @@ and kchecks b (n : Schema.node) : kc array =
        let cc = compile_schema b s in
        addk (fun rt errors fuel depth schema_at at v ->
            Telemetry.count rt.tele kw_not 1;
-           if cc rt fuel (depth + 1) (kp schema_at "not") at v = [] then
+           if cc rt fuel (depth + 1) (t_not :: schema_at) at v = [] then
              add errors
                (err ~at ~schema_at "not" "value matches the negated schema")));
   (match n.Schema.if_ with
@@ -732,14 +851,14 @@ and kchecks b (n : Schema.node) : kc array =
        addk (fun rt errors fuel depth schema_at at v ->
            Telemetry.count rt.tele kw_if 1;
            let branch, which =
-             if cond_cc rt fuel (depth + 1) (kp schema_at "if") at v = [] then
-               (then_cc, "then")
-             else (else_cc, "else")
+             if cond_cc rt fuel (depth + 1) (t_if :: schema_at) at v = [] then
+               (then_cc, t_then)
+             else (else_cc, t_else)
            in
            match branch with
            | None -> ()
            | Some cc ->
-               add_all errors (cc rt fuel (depth + 1) (kp schema_at which) at v)));
+               add_all errors (cc rt fuel (depth + 1) (which :: schema_at) at v)));
   Array.of_list (List.rev !ks)
 
 (* --- access analysis ----------------------------------------------------- *)
@@ -767,42 +886,47 @@ type access = A_full | A_skip | A_node of node_access
 
 and node_access = {
   a_str : bool;              (* string contents inspected here *)
-  a_props : (string * access) list;  (* first-wins, like [props_tbl] *)
-  a_other : access;          (* fields not named in [a_props] *)
-  a_prefix : access list;    (* tuple prefix, from [Items_many] *)
+  a_names : names;           (* [properties] names, first-wins *)
+  a_props : access array;    (* indexed like [a_names] *)
+  a_other : access;          (* fields not named in [a_names] *)
+  a_prefix : access array;   (* tuple prefix, from [Items_many] *)
   a_elems : access;          (* elements past the prefix *)
 }
 
+let prop_access na k =
+  let i = find na.a_names k in
+  if i < 0 then na.a_other else na.a_props.(i)
+
+let elem_access na i =
+  if i < Array.length na.a_prefix then na.a_prefix.(i) else na.a_elems
+
+(* Linear in the two nodes' sizes: names are merged through one table,
+   tuple prefixes by index. *)
 let rec access_join a b =
   match (a, b) with
   | A_full, _ | _, A_full -> A_full
   | A_skip, x | x, A_skip -> x
   | A_node x, A_node y ->
-      let prop k d ps = Option.value ~default:d (List.assoc_opt k ps) in
-      let keys =
-        List.fold_left
-          (fun acc (k, _) -> if List.mem k acc then acc else k :: acc)
-          [] (x.a_props @ y.a_props)
+      let a_names =
+        names_of_list (Array.to_list x.a_names.keys @ Array.to_list y.a_names.keys)
       in
       let a_props =
-        List.rev_map
-          (fun k ->
-            (k,
-             access_join (prop k x.a_other x.a_props) (prop k y.a_other y.a_props)))
-          keys
+        Array.map (fun k -> access_join (prop_access x k) (prop_access y k))
+          a_names.keys
       in
-      let nth xs d i = Option.value ~default:d (List.nth_opt xs i) in
-      let plen = max (List.length x.a_prefix) (List.length y.a_prefix) in
+      let plen = max (Array.length x.a_prefix) (Array.length y.a_prefix) in
       let a_prefix =
-        List.init plen (fun i ->
-            access_join (nth x.a_prefix x.a_elems i) (nth y.a_prefix y.a_elems i))
+        Array.init plen (fun i -> access_join (elem_access x i) (elem_access y i))
       in
       A_node
         { a_str = x.a_str || y.a_str;
+          a_names;
           a_props;
           a_other = access_join x.a_other y.a_other;
           a_prefix;
           a_elems = access_join x.a_elems y.a_elems }
+
+let no_names = names_of_list []
 
 let rec access_of (s : Schema.t) : access =
   match s with
@@ -817,17 +941,15 @@ let rec access_of (s : Schema.t) : access =
           n.Schema.min_length <> None || n.Schema.max_length <> None
           || n.Schema.pattern <> None || n.Schema.format <> None
         in
-        let a_props, a_other =
+        let a_names, a_props, a_other =
           if n.Schema.pattern_properties <> [] then
             (* a pattern may match any key: every field is reachable by an
                arbitrary subschema, so materialize them all *)
-            ([], A_full)
+            (no_names, [||], A_full)
           else
-            ( List.fold_left
-                (fun acc (k, s) ->
-                  if List.mem_assoc k acc then acc else (k, access_of s) :: acc)
-                [] n.Schema.properties
-              |> List.rev,
+            let props = first_wins fst n.Schema.properties in
+            ( names_of_list (List.map fst props),
+              Array.of_list (List.map (fun (_, s) -> access_of s) props),
               match n.Schema.additional_properties with
               | None -> A_skip
               | Some s -> access_of s )
@@ -836,20 +958,23 @@ let rec access_of (s : Schema.t) : access =
           match n.Schema.contains with Some s -> access_of s | None -> A_skip
         in
         let a_prefix, a_elems =
-          if n.Schema.unique_items then ([], A_full)
+          if n.Schema.unique_items then ([||], A_full)
           else
             match n.Schema.items with
-            | None -> ([], contains_a)
+            | None -> ([||], contains_a)
             | Some (Schema.Items_one s) ->
-                ([], access_join (access_of s) contains_a)
+                ([||], access_join (access_of s) contains_a)
             | Some (Schema.Items_many ss) ->
-                ( List.map (fun s -> access_join (access_of s) contains_a) ss,
+                ( Array.of_list
+                    (List.map (fun s -> access_join (access_of s) contains_a) ss),
                   access_join contains_a
                     (match n.Schema.additional_items with
                      | None -> A_skip
                      | Some s -> access_of s) )
         in
-        let own = A_node { a_str; a_props; a_other; a_prefix; a_elems } in
+        let own =
+          A_node { a_str; a_names; a_props; a_other; a_prefix; a_elems }
+        in
         (* everything applied to the same value joins at this level *)
         let subs =
           List.map access_of
@@ -938,139 +1063,217 @@ let is_valid ?config plan v = Result.is_ok (run ?config plan v)
 
 (* Walk one document at token level, materializing only what [plan.access]
    demands and planting placeholders elsewhere, then run the ordinary plan
-   on the pruned tree. The walk is a line-by-line mirror of
-   [Json.Parser.parse_value] — same peek-based empty-container detection,
-   same node/byte spends at the same positions, same depth checks, same
-   duplicate-key resolution — so parse failures are byte-identical; the
-   pruning soundness invariant (see {!access}) makes the verdicts, error
-   lists, and [validate.kw.*] counters byte-identical too. *)
+   on the pruned tree. The walk mirrors [Json.Parser.parse_value] — same
+   node/byte spends at the same token offsets, same depth checks (the
+   first element of an array is read before its depth check, like the
+   parser's peek), same duplicate-key resolution — and runs on
+   [Lexer.skim] tokens: no token/position tuple per token, positions built
+   only when a budget fails, object keys probed against the node's name
+   table straight from their source spans (a known key reuses the
+   schema's own string; only unknown keys are copied out). Any failure
+   falls back to [Json.Parser.parse_substring], so parse errors stay
+   byte-identical; the pruning soundness invariant (see {!access}) makes
+   the verdicts, error lists, and [validate.kw.*] counters byte-identical
+   too. *)
+
+let empty_string = Json.Value.String ""
+
+(* [A_full] seen as a node: every field and element in full *)
+let full_node =
+  { a_str = true; a_names = no_names; a_props = [||]; a_other = A_full;
+    a_prefix = [||]; a_elems = A_full }
+
+let node_of = function A_node na -> na | A_full | A_skip -> full_node
+
+(* The number token [Lexer.skim] just read, as [Json.Lexer.next] would
+   have materialized it: an integer literal short enough never to overflow
+   is evaluated in place, anything else goes through [Json.Number.parse]
+   on the literal, like the materializing lexer. *)
+let number_of_last lx tok =
+  let module L = Json.Lexer in
+  let src = L.source lx and i = L.tok_start lx and stop = L.offset lx in
+  let neg = String.unsafe_get src i = '-' in
+  let d0 = if neg then i + 1 else i in
+  if tok = L.S_int && stop - d0 <= 18 then begin
+    let n = ref 0 in
+    for k = d0 to stop - 1 do
+      n := (!n * 10) + (Char.code (String.unsafe_get src k) - Char.code '0')
+    done;
+    Json.Value.Int (if neg then - !n else !n)
+  end
+  else
+    match Json.Number.parse (String.sub src i (stop - i)) with
+    | Ok (Json.Number.Int_lit n) -> Json.Value.Int n
+    | Ok (Json.Number.Float_lit f) -> Json.Value.Float f
+    | Error msg -> raise (L.Lex_error (L.tok_pos lx, msg))
+
+(* Whether two of the keys are equal. Only keys outside a node's name
+   table need this scan (known keys are checked through their indices);
+   past a handful the caller defers to the parser's hashed resolution. *)
+let max_unknown_scan = 16
+
+let rec mem_key k = function
+  | [] -> false
+  | k' :: rest -> String.equal k k' || mem_key k rest
+
+let rec has_dup = function
+  | [] -> false
+  | k :: rest -> mem_key k rest || has_dup rest
+
 let walk_pruned ~options ~telemetry access src ~pos =
   let module L = Json.Lexer in
   let module P = Json.Parser in
   let lx = L.create ~pos ?max_string_bytes:options.P.max_string_bytes src in
+  let dup_keys = options.P.dup_keys and max_depth = options.P.max_depth in
   let tokens = ref 0 in
   let skipped = ref 0 in
   let walk_doc () =
     let nodes = ref 0 in
-    let spend_node p =
+    (* budget hooks, charged at a token's start offset right after it is
+       read; the failure position is built only when a budget trips *)
+    let spend_node _off =
       incr nodes;
       match options.P.max_nodes with
       | Some limit when !nodes > limit ->
-          P.fail ~kind:(P.Budget_exceeded P.Nodes_exceeded) p
+          P.fail ~kind:(P.Budget_exceeded P.Nodes_exceeded) (L.tok_pos lx)
             (Printf.sprintf "document exceeds %d nodes" limit)
       | _ -> ()
     in
-    let check_bytes p =
+    let check_bytes off =
       match options.P.max_doc_bytes with
-      | Some limit when p.L.offset - pos > limit ->
-          P.fail ~kind:(P.Budget_exceeded P.Bytes_exceeded) p
+      | Some limit when off - pos > limit ->
+          P.fail ~kind:(P.Budget_exceeded P.Bytes_exceeded) (L.tok_pos lx)
             (Printf.sprintf "document exceeds %d bytes" limit)
       | _ -> ()
     in
-    let next_full () = incr tokens; L.next lx in
-    let next_skim () = incr tokens; L.next_skimming lx in
+    let charge () =
+      let off = L.tok_start lx in
+      spend_node off;
+      check_bytes off
+    in
+    let skim () = incr tokens; L.skim lx in
+    let depth_exceeded () =
+      P.fail ~kind:(P.Budget_exceeded P.Depth_exceeded) (L.position lx)
+        "maximum nesting depth exceeded"
+    in
+    let unexpected expected tok =
+      P.fail (L.tok_pos lx)
+        (Printf.sprintf "expected %s, got %s" expected (L.skim_name tok))
+    in
     let rec walk a depth =
       match a with
       | A_skip ->
-          let before = (L.position lx).L.offset in
-          Fastjson.Rawscan.skim_value lx ~dup_keys:options.P.dup_keys
-            ~max_depth:options.P.max_depth ~depth ~spend_node ~check_bytes;
-          skipped := !skipped + ((L.position lx).L.offset - before);
+          let before = L.offset lx in
+          Fastjson.Rawscan.skim_value lx ~dup_keys ~max_depth ~depth ~spend_node
+            ~check_bytes;
+          skipped := !skipped + (L.offset lx - before);
           Json.Value.Null
       | A_full | A_node _ ->
-          if depth > options.P.max_depth then
-            P.fail ~kind:(P.Budget_exceeded P.Depth_exceeded) (L.position lx)
-              "maximum nesting depth exceeded";
-          let want_str =
-            match a with A_node na -> na.a_str | A_full | A_skip -> true
-          in
-          let tok, p = if want_str then next_full () else next_skim () in
-          spend_node p;
-          check_bytes p;
-          walk_tok a tok p depth
-    and walk_tok a tok p depth =
+          if depth > max_depth then depth_exceeded ();
+          let tok = skim () in
+          charge ();
+          walk_tok a tok depth
+    and walk_tok a tok depth =
       match tok with
-      | L.Null_tok -> Json.Value.Null
-      | L.True -> Json.Value.Bool true
-      | L.False -> Json.Value.Bool false
-      | L.Number_tok (Json.Number.Int_lit n) -> Json.Value.Int n
-      | L.Number_tok (Json.Number.Float_lit f) -> Json.Value.Float f
-      | L.String_tok s -> Json.Value.String s
-      | L.Lbracket -> walk_array a depth
-      | L.Lbrace -> walk_object a depth
-      | (L.Rbrace | L.Rbracket | L.Colon | L.Comma | L.Eof) as t ->
-          P.fail p (Printf.sprintf "expected a value, got %s" (L.token_name t))
-    and walk_array a depth =
-      let elem_access i =
-        match a with
-        | A_full -> A_full
-        | A_node na ->
-            Option.value ~default:na.a_elems (List.nth_opt na.a_prefix i)
-        | A_skip -> assert false
-      in
-      match L.peek lx with
-      | L.Rbracket, _ ->
-          ignore (next_full ());
+      | L.S_null -> Json.Value.Null
+      | L.S_true -> Json.Value.Bool true
+      | L.S_false -> Json.Value.Bool false
+      | L.S_int | L.S_float -> number_of_last lx tok
+      | L.S_string -> (
+          match a with
+          | A_node na when not na.a_str -> empty_string
+          | A_node _ | A_full | A_skip -> Json.Value.String (L.string_of_last lx))
+      | L.S_lbracket -> walk_array (node_of a) depth
+      | L.S_lbrace -> walk_object (node_of a) depth
+      | L.S_rbrace | L.S_rbracket | L.S_colon | L.S_comma | L.S_eof ->
+          unexpected "a value" tok
+    and walk_array na depth =
+      let tok = L.skim lx in
+      match tok with
+      | L.S_rbracket ->
+          incr tokens;
           Json.Value.Array []
       | _ ->
+          if depth + 1 > max_depth then depth_exceeded ();
+          charge ();
+          let v0 =
+            match elem_access na 0 with
+            | A_skip ->
+                let before = L.offset lx in
+                Fastjson.Rawscan.skim_rest lx tok ~dup_keys ~max_depth
+                  ~depth:(depth + 1) ~spend_node ~check_bytes;
+                skipped := !skipped + (L.offset lx - before);
+                Json.Value.Null
+            | a0 ->
+                incr tokens;
+                walk_tok a0 tok (depth + 1)
+          in
           let rec elements i acc =
-            let v = walk (elem_access i) (depth + 1) in
-            let tok, p = next_full () in
-            match tok with
-            | L.Comma -> elements (i + 1) (v :: acc)
-            | L.Rbracket -> List.rev (v :: acc)
-            | t ->
-                P.fail p
-                  (Printf.sprintf "expected ',' or ']', got %s" (L.token_name t))
+            match skim () with
+            | L.S_comma ->
+                elements (i + 1) (walk (elem_access na i) (depth + 1) :: acc)
+            | L.S_rbracket -> List.rev acc
+            | tok -> unexpected "',' or ']'" tok
           in
-          Json.Value.Array (elements 0 [])
-    and walk_object a depth =
-      let key_access k =
-        match a with
-        | A_full -> A_full
-        | A_node na -> Option.value ~default:na.a_other (List.assoc_opt k na.a_props)
-        | A_skip -> assert false
+          Json.Value.Array (elements 1 [ v0 ])
+    and walk_object na depth =
+      (* duplicate keys: a known key marks its index in [seen], unknown
+         ones are collected for a pairwise scan; a duplicate-free object
+         needs no policy resolution (every policy is the identity then) *)
+      let names = na.a_names in
+      let track = dup_keys <> P.Keep_all in
+      let seen =
+        if track then Bytes.make (Array.length names.keys) '\000' else Bytes.empty
       in
-      match L.peek lx with
-      | L.Rbrace, _ ->
-          ignore (next_full ());
-          Json.Value.Object []
-      | _ ->
-          let rec fields acc =
-            let tok, p = next_full () in
-            match tok with
-            | L.String_tok key -> (
-                let tok, p = next_full () in
-                match tok with
-                | L.Colon -> (
-                    let v = walk (key_access key) (depth + 1) in
-                    let tok, p = next_full () in
-                    match tok with
-                    | L.Comma -> fields ((key, v) :: acc)
-                    | L.Rbrace -> ((key, v) :: acc, p)
-                    | t ->
-                        P.fail p
-                          (Printf.sprintf "expected ',' or '}', got %s"
-                             (L.token_name t)))
-                | t ->
-                    P.fail p
-                      (Printf.sprintf "expected ':', got %s" (L.token_name t)))
-            | t ->
-                P.fail p
-                  (Printf.sprintf "expected a field name, got %s"
-                     (L.token_name t))
-          in
-          let fields_rev, close_pos = fields [] in
-          Json.Value.Object
-            (P.apply_dup_policy options.P.dup_keys fields_rev close_pos)
+      let dup = ref false and unknown = ref [] and nunknown = ref 0 in
+      let rec fields acc tok =
+        match tok with
+        | L.S_string -> (
+            let i, stop, escaped = L.last_string_span lx in
+            let idx = if escaped then -1 else find_span names src i stop in
+            let key = if idx >= 0 then names.keys.(idx) else L.string_of_last lx in
+            let idx = if escaped then find names key else idx in
+            (if track then
+               if idx >= 0 then begin
+                 if Bytes.unsafe_get seen idx <> '\000' then dup := true;
+                 Bytes.unsafe_set seen idx '\001'
+               end
+               else begin
+                 unknown := key :: !unknown;
+                 incr nunknown
+               end);
+            match skim () with
+            | L.S_colon -> (
+                let a = if idx >= 0 then na.a_props.(idx) else na.a_other in
+                let acc = (key, walk a (depth + 1)) :: acc in
+                match skim () with
+                | L.S_comma -> fields acc (skim ())
+                | L.S_rbrace ->
+                    if (not !dup) && !nunknown <= max_unknown_scan
+                       && not (has_dup !unknown)
+                    then Json.Value.Object (List.rev acc)
+                    else
+                      Json.Value.Object
+                        (P.apply_dup_policy dup_keys acc (L.tok_pos lx))
+                | tok -> unexpected "',' or '}'" tok)
+            | tok -> unexpected "':'" tok)
+        | _ -> unexpected "a field name" tok
+      in
+      match skim () with
+      | L.S_rbrace -> Json.Value.Object []
+      | tok -> fields [] tok
     in
     let v = walk access 0 in
-    check_bytes (L.position lx);
+    (match options.P.max_doc_bytes with
+     | Some limit when L.offset lx - pos > limit ->
+         P.fail ~kind:(P.Budget_exceeded P.Bytes_exceeded) (L.position lx)
+           (Printf.sprintf "document exceeds %d bytes" limit)
+     | _ -> ());
     (v, !nodes)
   in
   match P.run lx walk_doc with
   | Ok (v, nodes) ->
-      let stop = (L.position lx).L.offset in
+      let stop = L.offset lx in
       P.emit_doc telemetry options ~bytes:(stop - pos) ~nodes;
       if Telemetry.is_recording telemetry then begin
         Telemetry.count telemetry "stream.tokens" !tokens;

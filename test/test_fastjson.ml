@@ -35,6 +35,96 @@ let test_raw_key_at () =
   | Ok (k, _) -> Alcotest.(check string) "escaped key (raw)" {|be\"ta|} k
   | Error m -> Alcotest.fail m
 
+(* --- validating skim ---------------------------------------------------- *)
+
+(* [Rawscan.skim_value] is the streaming validator's instrument for
+   subtrees its plan ignores, so it must accept exactly what the tree
+   parser accepts and fail with byte-identical errors (position, message,
+   kind) under every parser option the hooks and the lexer enforce: depth,
+   node and byte budgets charged at token offsets, string budgets, and
+   duplicate keys under [Reject]. *)
+let skim_outcome (options : Json.Parser.options) src =
+  let module L = Json.Lexer in
+  let module P = Json.Parser in
+  let lx = L.create ?max_string_bytes:options.P.max_string_bytes src in
+  let nodes = ref 0 in
+  let spend_node _off =
+    incr nodes;
+    match options.P.max_nodes with
+    | Some limit when !nodes > limit ->
+        P.fail ~kind:(P.Budget_exceeded P.Nodes_exceeded) (L.tok_pos lx)
+          (Printf.sprintf "document exceeds %d nodes" limit)
+    | _ -> ()
+  in
+  let bytes_over off = match options.P.max_doc_bytes with
+    | Some limit when off > limit -> Some limit
+    | _ -> None
+  in
+  let check_bytes off =
+    match bytes_over off with
+    | Some limit ->
+        P.fail ~kind:(P.Budget_exceeded P.Bytes_exceeded) (L.tok_pos lx)
+          (Printf.sprintf "document exceeds %d bytes" limit)
+    | None -> ()
+  in
+  P.run lx (fun () ->
+      Fastjson.Rawscan.skim_value lx ~dup_keys:options.P.dup_keys
+        ~max_depth:options.P.max_depth ~depth:0 ~spend_node ~check_bytes;
+      (match bytes_over (L.offset lx) with
+       | Some limit ->
+           P.fail ~kind:(P.Budget_exceeded P.Bytes_exceeded) (L.position lx)
+             (Printf.sprintf "document exceeds %d bytes" limit)
+       | None -> ());
+      L.offset lx)
+
+let render_outcome = function
+  | Ok stop -> Printf.sprintf "ok, stop %d" stop
+  | Error (e : Json.Parser.error) ->
+      let p = e.Json.Parser.position in
+      Printf.sprintf "%s at %d (%d:%d), budget %b" e.Json.Parser.message
+        p.Json.Lexer.offset p.Json.Lexer.line p.Json.Lexer.column
+        (Json.Parser.is_budget_error e)
+
+let test_skim_value_matches_parser () =
+  let st = Datagen.rng ~seed:53 in
+  let tweets = List.map Json.Printer.to_string (Datagen.tweets st 12) in
+  let corrupted =
+    String.split_on_char '\n'
+      (Core.Chaos.corrupt ~seed:530 ~rate:0.5 (String.concat "\n" tweets)).Core.Chaos.text
+  in
+  let edge =
+    [ "[]"; "{}"; "[1,]"; "[1 2]"; "{,}"; {|{"a" 1}|}; {|{"a":1,"a":2}|};
+      {|{"a":{"b":1,"b":2},"c":[]}|}; "[[[[[1]]]]]"; {|[[], {"k": [{}]}]|};
+      {|{"a":[{"b":{"c":[1,2,{"d":null}]}}]}|}; {|"\ud800"|}; {|"\u0041\n"|};
+      "-"; "01"; "1e999"; "-0.5e-3"; "123456789012345678901"; "tru"; "nul";
+      {|{"\u0061":1,"a":2}|}; {|{"long key here": "and a longer string value"}|};
+      "  [ 1 , { \"x\" : [ true , false ] } ]  "; "" ]
+  in
+  let base = Json.Parser.default_options in
+  let options =
+    [ base;
+      { base with Json.Parser.dup_keys = Json.Parser.Reject };
+      { base with Json.Parser.dup_keys = Json.Parser.Keep_all; max_depth = 3 };
+      { base with Json.Parser.max_nodes = Some 20 };
+      { base with Json.Parser.max_doc_bytes = Some 100 };
+      { base with Json.Parser.max_string_bytes = Some 8 } ]
+  in
+  List.iteri
+    (fun oi options ->
+      List.iter
+        (fun src ->
+          let tree =
+            match Json.Parser.parse_substring ~options src ~pos:0 with
+            | Ok (_, stop) -> Ok stop
+            | Error e -> Error e
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "options #%d on %S" oi src)
+            (render_outcome tree)
+            (render_outcome (skim_outcome options src)))
+        (edge @ tweets @ corrupted))
+    options
+
 (* --- structural index --------------------------------------------------- *)
 
 let test_index_quotes_and_strings () =
@@ -302,7 +392,9 @@ let () =
   Alcotest.run "fastjson"
     [ ("rawscan",
        [ Alcotest.test_case "skip_value" `Quick test_skip_value;
-         Alcotest.test_case "raw_key_at" `Quick test_raw_key_at ]);
+         Alcotest.test_case "raw_key_at" `Quick test_raw_key_at;
+         Alcotest.test_case "skim_value = parser" `Quick
+           test_skim_value_matches_parser ]);
       ("index",
        [ Alcotest.test_case "quotes & string mask" `Quick test_index_quotes_and_strings;
          Alcotest.test_case "leveled colons" `Quick test_index_levels;

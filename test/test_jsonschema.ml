@@ -492,7 +492,7 @@ let render_errors = function
   | Error es ->
       String.concat "\n" (List.map Jsonschema.Validate.string_of_error es)
 
-let oracle_gen_value : Json.Value.t QCheck2.Gen.t =
+let oracle_value_sized : Json.Value.t QCheck2.Gen.sized =
   let open QCheck2.Gen in
   let scalar =
     oneof
@@ -505,7 +505,7 @@ let oracle_gen_value : Json.Value.t QCheck2.Gen.t =
       ]
   in
   let key = string_size ~gen:(char_range 'a' 'c') (int_range 1 2) in
-  sized @@ fix (fun self n ->
+  fix (fun self n ->
       if n <= 0 then scalar
       else
         frequency
@@ -525,7 +525,9 @@ let oracle_gen_value : Json.Value.t QCheck2.Gen.t =
                (list_size (int_range 0 4) (pair key (self (n / 2)))));
           ])
 
-let oracle_gen_schema : Json.Value.t QCheck2.Gen.t =
+let oracle_gen_value = QCheck2.Gen.sized oracle_value_sized
+
+let oracle_schema_sized : Json.Value.t QCheck2.Gen.sized =
   let open QCheck2.Gen in
   let open Json.Value in
   let type_name =
@@ -535,7 +537,7 @@ let oracle_gen_schema : Json.Value.t QCheck2.Gen.t =
     oneofl [ "#"; "#/definitions/a"; "#/definitions/missing"; "not-a-pointer" ]
   in
   let key = string_size ~gen:(char_range 'a' 'c') (int_range 1 2) in
-  sized @@ fix (fun self n ->
+  fix (fun self n ->
       let sub = self (n / 2) in
       let leaf =
         oneof
@@ -591,6 +593,8 @@ let oracle_gen_schema : Json.Value.t QCheck2.Gen.t =
                key sub);
           ])
 
+let oracle_gen_schema = QCheck2.Gen.sized oracle_schema_sized
+
 let differential_agrees ?(config = Jsonschema.Validate.default_config)
     (schema, instance) =
   let interp =
@@ -638,6 +642,207 @@ let prop_compiled_differential_formats =
     ~count:200
     QCheck2.Gen.(pair oracle_gen_schema oracle_gen_value)
     (differential_agrees ~config:{ oracle_config with assert_formats = true })
+
+(* Wide records: the sizes at which the plan's hashed per-field dispatch
+   matters. 64-96 properties (some names bound twice: the first binding
+   wins), a [required] list of 64+ entries with repeats and names no
+   property declares, [additionalProperties] absent/false/a schema,
+   sometimes [patternProperties]; instances draw keys from the same space
+   plus unknown ones, and may repeat a key (a tree can hold duplicates the
+   parser would have resolved). *)
+let wide_key_space nprops =
+  Array.init (nprops + 16) (fun i ->
+      if i < nprops then Printf.sprintf "p%d" i
+      else if i < nprops + 8 then Printf.sprintf "q%d" (i - nprops)
+      else Printf.sprintf "u%d" (i - nprops - 8))
+
+let oracle_gen_wide : (Json.Value.t * Json.Value.t) QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let open Json.Value in
+  let* nprops = int_range 64 96 in
+  let keys = wide_key_space nprops in
+  let prop_schema =
+    frequency
+      [ (6,
+         map (fun t -> Object [ ("type", String t) ])
+           (oneofl [ "integer"; "string"; "boolean"; "number"; "null" ]));
+        (1, return (Object []));
+        (1, return (Bool false));
+        (1, map (fun i -> Object [ ("minLength", Int i) ]) (int_range 0 3));
+        (1, sized_size (return 2) oracle_schema_sized) ]
+  in
+  let* props = flatten_l (List.init nprops (fun i ->
+      map (fun s -> (keys.(i), s)) prop_schema)) in
+  let* shadows =
+    list_size (int_range 0 4)
+      (map2 (fun i s -> (keys.(i), s)) (int_range 0 (nprops - 1)) prop_schema)
+  in
+  let* required =
+    list_size (int_range 64 100)
+      (map (fun i -> String keys.(i)) (int_range 0 (nprops + 7)))
+  in
+  let* additional =
+    oneofl
+      [ []; [ ("additionalProperties", Bool false) ];
+        [ ("additionalProperties", Object [ ("type", String "integer") ]) ] ]
+  in
+  let* pattern =
+    frequency
+      [ (4, return []);
+        (1, return [ ("patternProperties",
+                      Object [ ("^q", Object [ ("type", String "string") ]) ]) ]) ]
+  in
+  let schema =
+    Object
+      ([ ("type", String "object");
+         ("properties", Object (props @ shadows));
+         ("required", Array required) ]
+      @ additional @ pattern)
+  in
+  let field =
+    map2 (fun i v -> (keys.(i), v))
+      (int_range 0 (Array.length keys - 1)) (sized_size (return 2) oracle_value_sized)
+  in
+  let* fields = list_size (int_range 0 (nprops + 16)) field in
+  let* repeats = list_size (int_range 0 2) field in
+  let* instance =
+    frequency
+      [ (8, return (Object (fields @ repeats)));
+        (1, map (fun v -> Array [ Object fields; v ]) oracle_gen_value) ]
+  in
+  return (schema, instance)
+
+let prop_compiled_differential_wide =
+  QCheck2.Test.make
+    ~name:"compiled = interpreted on wide records (64+ properties)"
+    ~count:150 oracle_gen_wide
+    (differential_agrees ~config:oracle_config)
+
+(* Plan lowering is linear in the schema: an 11k-property record (the
+   long-tail workload's schema at 150 shapes) lowers well inside a bound a
+   quadratic first-wins fold or access join blows through by ~5x. Best of
+   three, so a slow moment on a shared host does not decide it. *)
+let test_plan_lowering_linear () =
+  let open Json.Value in
+  let props =
+    List.concat
+      (List.init 150 (fun s ->
+           List.init (s + 1) (fun j ->
+               (Printf.sprintf "field_%d_%d" s j, Object [ ("type", String "integer") ]))))
+  in
+  let root =
+    Object
+      [ ("type", String "object");
+        ("properties", Object (("id", Object [ ("type", String "integer") ]) :: props));
+        ("required", Array [ String "id" ]) ]
+  in
+  Alcotest.(check int) "11,326 properties" 11_326 (List.length props + 1);
+  let once () =
+    let t0 = Unix.gettimeofday () in
+    (match Jsonschema.Compile.compile root with
+     | Ok _ -> ()
+     | Error _ -> Alcotest.fail "wide schema should compile");
+    Unix.gettimeofday () -. t0
+  in
+  let best = List.fold_left min infinity (List.init 3 (fun _ -> once ())) in
+  if best > 0.2 then
+    Alcotest.failf "compiling 11,326 properties took %.3f s (bound 0.2 s)" best
+
+(* The [Telemetry.nop] cost contract and lazy pointers, pinned by
+   allocation: running a valid 64-field record must allocate the same
+   words per field whether the record sits at depth 1 or depth 32 (paths
+   are extended by one cons per step, never copied), and an invalid record
+   deep down must still report full pointers. Per-field words are the
+   difference between a 64- and a 32-field record at the same depth, so
+   per-level and per-object constants cancel. *)
+let nested_record ~depth ~fields =
+  let levels = depth in
+  let open Json.Value in
+  let name i = Printf.sprintf "f%02d" i in
+  let ty i = [| "integer"; "string"; "boolean"; "number" |].(i mod 4) in
+  let value i =
+    match i mod 4 with
+    | 0 -> Int i
+    | 1 -> String "s"
+    | 2 -> Bool true
+    | _ -> Float 0.5
+  in
+  let record_schema =
+    Object
+      [ ("type", String "object");
+        ("properties",
+         Object (List.init fields (fun i -> (name i, Object [ ("type", String (ty i)) ]))));
+        ("required", Array (List.init fields (fun i -> String (name i)))) ]
+  in
+  let record = Object (List.init fields (fun i -> (name i, value i))) in
+  let rec wrap d (schema, doc) =
+    if d <= 1 then (schema, doc)
+    else
+      wrap (d - 1)
+        ( Object
+            [ ("type", String "object");
+              ("properties", Object [ ("a", schema) ]);
+              ("required", Array [ String "a" ]) ],
+          Object [ ("a", doc) ] )
+  in
+  wrap levels (record_schema, record)
+
+let run_words plan doc =
+  let run () = Jsonschema.Compile.run plan doc in
+  ignore (run ());
+  let w0 = Gc.minor_words () in
+  let r = run () in
+  let w1 = Gc.minor_words () in
+  (r, w1 -. w0)
+
+let test_nop_alloc_per_field () =
+  let words ~depth ~fields =
+    let schema, doc = nested_record ~depth ~fields in
+    let plan = Result.get_ok (Jsonschema.Compile.compile schema) in
+    match run_words plan doc with
+    | Ok (), w -> w
+    | Error _, _ -> Alcotest.fail "nested record should validate"
+  in
+  let per_field depth =
+    (words ~depth ~fields:64 -. words ~depth ~fields:32) /. 32.0
+  in
+  let shallow = per_field 1 and deep = per_field 32 in
+  Alcotest.(check (float 0.0)) "words per field: depth 1 = depth 32" shallow deep;
+  (* the invalid variant: a wrong type and a missing field, 32 levels down *)
+  let schema, doc = nested_record ~depth:32 ~fields:64 in
+  let rec break = function
+    | Json.Value.Object [ ("a", d) ] -> Json.Value.Object [ ("a", break d) ]
+    | Json.Value.Object fields ->
+        Json.Value.Object
+          (List.filter_map
+             (fun (k, v) ->
+               if k = "f63" then None
+               else if k = "f05" then Some (k, Json.Value.Int 5)
+               else Some (k, v))
+             fields)
+    | v -> v
+  in
+  let bad = break doc in
+  let plan = Result.get_ok (Jsonschema.Compile.compile schema) in
+  let prefix = String.concat "" (List.init 31 (fun _ -> "/a")) in
+  let sprefix = String.concat "" (List.init 31 (fun _ -> "/properties/a")) in
+  let rendered r =
+    match r with
+    | Ok () -> []
+    | Error es ->
+        List.map
+          (fun e ->
+            ( Json.Pointer.to_string e.Jsonschema.Validate.instance_at,
+              Json.Pointer.to_string e.Jsonschema.Validate.schema_at ))
+          es
+  in
+  let expected =
+    [ (prefix, sprefix ^ "/required"); (prefix ^ "/f05", sprefix ^ "/properties/f05/type") ]
+  in
+  Alcotest.(check (list (pair string string))) "compiled error pointers" expected
+    (rendered (Jsonschema.Compile.run plan bad));
+  Alcotest.(check (list (pair string string))) "interpreter error pointers" expected
+    (rendered (Jsonschema.Validate.validate ~root:schema bad))
 
 let test_compiled_parallel_jobs () =
   (* The sharded pipeline path: compiled and interpreted engines must report
@@ -828,6 +1033,13 @@ let () =
          QCheck_alcotest.to_alcotest
            ~rand:(Random.State.make [| 20250808 |])
            prop_compiled_differential_formats;
+         QCheck_alcotest.to_alcotest
+           ~rand:(Random.State.make [| 20250808 |])
+           prop_compiled_differential_wide;
+         Alcotest.test_case "plan lowering is linear" `Quick
+           test_plan_lowering_linear;
+         Alcotest.test_case "nop cost: words per field independent of depth"
+           `Quick test_nop_alloc_per_field;
          Alcotest.test_case "parallel jobs sweep" `Quick test_compiled_parallel_jobs;
          Alcotest.test_case "plan stats" `Quick test_compiled_plan_stats;
          Alcotest.test_case "plan cache" `Quick test_plan_cache ]);

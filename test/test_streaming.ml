@@ -543,6 +543,191 @@ let prop_validate_differential =
       in
       run `Tree = run `Streaming)
 
+(* --- wide records ---------------------------------------------------- *)
+
+let replace_all ~sub ~by s =
+  let n = String.length sub and buf = Buffer.create (String.length s) in
+  let rec go i =
+    if i > String.length s - n then Buffer.add_string buf (String.sub s i (String.length s - i))
+    else if String.sub s i n = sub then (Buffer.add_string buf by; go (i + n))
+    else (Buffer.add_char buf s.[i]; go (i + 1))
+  in
+  go 0;
+  Buffer.contents buf
+
+(* The fused validator's per-field machinery — the node's hashed name
+   table probed straight from key spans, the seen-mask [required] pass,
+   duplicate-key resolution skipped for duplicate-free objects — only
+   shows at widths the orders schema never reaches. A wide case: 64-96
+   properties (a few names bound twice; the first binding wins), a
+   [required] list of 64+ entries with repeats and names no property
+   declares, [additionalProperties] absent, false or a schema, sometimes a
+   nested record and a [patternProperties] fallback; records draw keys
+   from the declared names, undeclared ones (one needing an escape) and
+   repeats, and some spell a declared name with a [\u] escape. *)
+let gen_wide_case : (Json.Value.t * string) QCheck2.Gen.t =
+  let open Json.Value in
+  let open QCheck2.Gen in
+  let* nprops = int_range 64 96 in
+  let key i =
+    if i < nprops then Printf.sprintf "p%d" i
+    else if i < nprops + 6 then Printf.sprintf "q%d" (i - nprops)
+    else if i = nprops + 6 then "u\nline"
+    else Printf.sprintf "u%d" (i - nprops - 7)
+  in
+  let nkeys = nprops + 16 in
+  let ty t = Object [ ("type", String t) ] in
+  let prop_schema =
+    frequency
+      [ (8, map ty (oneofl [ "integer"; "string"; "boolean"; "number"; "null" ]));
+        (1, return (Object []));
+        (1, return (Bool false));
+        (1, return (Object [ ("type", String "string"); ("minLength", Int 2) ]));
+        (1,
+         return
+           (Object
+              [ ("type", String "object");
+                ("properties", Object [ ("x", ty "integer") ]);
+                ("required", Array [ String "x" ]) ])) ]
+  in
+  let* props =
+    flatten_l (List.init nprops (fun i -> map (fun sc -> (key i, sc)) prop_schema))
+  in
+  let* shadows =
+    list_size (int_range 1 4)
+      (map2 (fun i sc -> (key i, sc)) (int_range 0 (nprops - 1)) prop_schema)
+  in
+  let* required =
+    list_size (int_range 64 110) (map (fun i -> String (key i)) (int_range 0 (nprops + 5)))
+  in
+  let* extra =
+    oneofl
+      [ []; [ ("additionalProperties", Bool false) ];
+        [ ("additionalProperties", ty "integer") ];
+        [ ("patternProperties", Object [ ("^q", ty "string") ]) ] ]
+  in
+  let schema =
+    Object
+      ([ ("type", String "object");
+         ("properties", Object (props @ shadows));
+         ("required", Array required) ]
+      @ extra)
+  in
+  let scalar =
+    oneof
+      [ return Null; map (fun b -> Bool b) bool;
+        map (fun n -> Int n) (int_range (-9) 9);
+        map (fun f -> Float f) (float_range (-9.) 9.);
+        map (fun s -> String s) (string_size ~gen:(char_range 'a' 'c') (int_range 0 3)) ]
+  in
+  let value =
+    frequency
+      [ (8, scalar);
+        (1, map (fun n -> Object [ ("x", Int n) ]) (int_range 0 3));
+        (1, map (fun vs -> Array vs) (list_size (int_range 0 3) scalar)) ]
+  in
+  let field = map2 (fun i v -> (key i, v)) (int_range 0 (nkeys - 1)) value in
+  let record =
+    let* full = bool in
+    let* fields =
+      if full then
+        (* every declared name once, then a few extras: the mostly-valid case *)
+        let* vs = flatten_l (List.init nprops (fun i -> map (fun v -> (key i, v)) value)) in
+        let* extras = list_size (int_range 0 3) field in
+        return (vs @ extras)
+      else list_size (int_range 0 (nkeys + 8)) field
+    in
+    let* repeats = frequency [ (2, return []); (1, list_size (int_range 1 2) field) ] in
+    let* escape = frequency [ (3, return false); (1, return true) ] in
+    let line = Json.Printer.to_string (Object (fields @ repeats)) in
+    (* spell "p1" as "p\u0031" where it appears: same key, escaped span *)
+    return (if escape then replace_all ~sub:{|"p1":|} ~by:{|"p\u0031":|} line else line)
+  in
+  let* lines = list_size (int_range 1 6) record in
+  return (schema, String.concat "\n" lines)
+
+let render_verdict = function
+  | Ok () -> "valid"
+  | Error es -> String.concat " | " (List.map Jsonschema.Validate.string_of_error es)
+
+let render_parse_error (e : Json.Parser.error) =
+  let p = e.Json.Parser.position in
+  Printf.sprintf "parse error %s @%d (%d:%d) budget=%b" e.Json.Parser.message
+    p.Json.Lexer.offset p.Json.Lexer.line p.Json.Lexer.column
+    (Json.Parser.is_budget_error e)
+
+let line_starts text =
+  let starts = ref [ 0 ] in
+  String.iteri (fun i c -> if c = '\n' then starts := (i + 1) :: !starts) text;
+  List.rev !starts
+
+(* Per document: [Compile.run_stream] against [parse_substring] + [Compile.run]
+   under one parser policy — verdicts, error lists, stop offsets, parse
+   errors, and every counter and gauge except the streaming engine's own
+   [stream.*] extras. *)
+let stream_equals_tree ~options plan text =
+  let tele_s = Telemetry.create () and tele_t = Telemetry.create () in
+  let config tele =
+    { Jsonschema.Validate.default_config with Jsonschema.Validate.telemetry = tele }
+  in
+  let stream pos =
+    match
+      Jsonschema.Compile.run_stream ~config:(config tele_s) ~options
+        ~telemetry:tele_s plan text ~pos
+    with
+    | Ok (verdict, stop) -> Printf.sprintf "%s / %d" (render_verdict verdict) stop
+    | Error e -> render_parse_error e
+  in
+  let tree pos =
+    match Json.Parser.parse_substring ~options ~telemetry:tele_t text ~pos with
+    | Ok (v, stop) ->
+        Printf.sprintf "%s / %d"
+          (render_verdict (Jsonschema.Compile.run ~config:(config tele_t) plan v))
+          stop
+    | Error e -> render_parse_error e
+  in
+  let starts = List.filter (fun p -> p < String.length text) (line_starts text) in
+  let s = List.map stream starts and t = List.map tree starts in
+  let observable tele =
+    let snap = Telemetry.snapshot tele in
+    ( List.filter
+        (fun (k, _) -> not (String.length k >= 7 && String.sub k 0 7 = "stream."))
+        snap.Telemetry.counters,
+      snap.Telemetry.gauges )
+  in
+  if s = t && observable tele_s = observable tele_t then true
+  else
+    QCheck2.Test.fail_reportf "streaming:@.%s@.tree:@.%s@.text:@.%s"
+      (String.concat "\n" s) (String.concat "\n" t) text
+
+let policies = Json.Parser.[ Keep_first; Keep_last; Reject; Keep_all ]
+
+let prop_validate_wide_differential =
+  QCheck2.Test.make ~name:"wide records: streaming validate = tree validate"
+    ~count:(count 120)
+    QCheck2.Gen.(tup4 gen_wide_case (oneofl policies) (oneofl jobses) bool)
+    (fun ((schema, text), dup_keys, jobs, corrupt) ->
+      let text =
+        (* a stray byte mid-record: the walker must fail over to the
+           canonical parser's error *)
+        if corrupt && String.length text > 40 then
+          String.mapi (fun i c -> if i = String.length text / 2 then '}' else c) text
+        else text
+      in
+      let plan =
+        match Jsonschema.Compile.compile schema with
+        | Ok p -> p
+        | Error _ -> failwith "wide schema must compile"
+      in
+      let options = { Json.Parser.default_options with Json.Parser.dup_keys } in
+      let pipeline engine =
+        let i, f = Pipeline.validate_ndjson ~engine ~jobs ~root:schema text in
+        ingest_fingerprint i ^ "\n===\n" ^ failures_fingerprint f
+      in
+      stream_equals_tree ~options plan text
+      && (pipeline `Tree = pipeline `Streaming
+         || QCheck2.Test.fail_reportf "pipelines diverge at jobs=%d on:@.%s" jobs text))
+
 let prop_chunked_fold =
   QCheck2.Test.make ~name:"chunked fold invariant under chunk size"
     ~count:(count 120)
@@ -587,5 +772,6 @@ let () =
       ( "properties",
         [ prop prop_infer_differential;
           prop prop_validate_differential;
+          prop prop_validate_wide_differential;
           prop prop_chunked_fold;
           prop prop_skim_chunked ] ) ]
