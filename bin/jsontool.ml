@@ -727,28 +727,36 @@ let compat_cmd =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"NEW" ~doc:"New schema file.")
   in
   let run old_file new_file =
+    (* a schema that does not parse has no instances to compare: stop
+       before any verdict is guessed from it *)
     let load f =
-      or_die (Result.map_error Json.Parser.string_of_error (Json.Parser.parse (read_input f)))
+      let j =
+        or_die (Result.map_error Json.Parser.string_of_error (Json.Parser.parse (read_input f)))
+      in
+      match Jsonschema.Parse.of_json j with
+      | Ok _ -> j
+      | Error e -> or_die (Error (f ^ ": " ^ Jsonschema.Parse.string_of_error e))
     in
     let old_s = load old_file and new_s = load new_file in
     (* backward compatibility: everything valid under the old schema must
        stay valid under the new one *)
-    (match Jtype.Containment.check old_s new_s with
-     | Jtype.Containment.Included ->
+    (match Jtype.Contain.check_schema ~root:new_s old_s with
+     | Jtype.Contain.Contained ->
          print_endline "backward compatible: old instances remain valid"
-     | Jtype.Containment.Not_included cex ->
+     | Jtype.Contain.Not_contained cex ->
          Printf.printf "NOT backward compatible; counterexample:\n  %s\n"
            (Json.Printer.to_string cex);
          exit 1
-     | Jtype.Containment.Unknown ->
-         print_endline "backward compatibility: unknown (outside the decidable fragment)");
-    match Jtype.Containment.check new_s old_s with
-    | Jtype.Containment.Included ->
+     | Jtype.Contain.Unknown reason ->
+         Printf.printf "backward compatibility: unknown (%s)\n" reason);
+    match Jtype.Contain.check_schema ~root:old_s new_s with
+    | Jtype.Contain.Contained ->
         print_endline "forward compatible: new instances validate against the old schema"
-    | Jtype.Containment.Not_included cex ->
+    | Jtype.Contain.Not_contained cex ->
         Printf.printf "not forward compatible (expected for widening changes); example:\n  %s\n"
           (Json.Printer.to_string cex)
-    | Jtype.Containment.Unknown -> print_endline "forward compatibility: unknown"
+    | Jtype.Contain.Unknown reason ->
+        Printf.printf "forward compatibility: unknown (%s)\n" reason
   in
   Cmd.v
     (Cmd.info "compat" ~doc:"Check schema-evolution compatibility between two JSON Schemas.")

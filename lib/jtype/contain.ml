@@ -9,10 +9,10 @@
    own authority, and never claims [Contained] unless every applicable
    keyword was proved for every inhabited union branch.
 
-   Schemas in the exact structural fragment (Containment.exact: the image
-   of Interop.to_schema) skip the keyword walk entirely and are decided by
-   the kernel subtype procedure, whose verdicts come with their own
-   verified witnesses. *)
+   Schemas the type algebra expresses exactly (those Interop.of_schema
+   translates: the image of Interop.to_schema) skip the keyword walk
+   entirely and are decided by the kernel subtype procedure, whose
+   verdicts come with their own verified witnesses. *)
 
 module V = Json.Value
 module S = Jsonschema.Schema
@@ -234,12 +234,13 @@ let resolve ctx target =
     else None
 
 let rec contain_ty ctx ~fuel (t : Types.t) (s : S.t) : outcome =
-  if Containment.exact s then
-    match Subtype.check t (Interop.of_schema s) with
-    | Subtype.Sub -> Proved
-    | Subtype.Not_sub w -> Refute ([ w ], "kernel subtype witness")
-    | Subtype.Unknown _ -> structural ctx ~fuel t s
-  else structural ctx ~fuel t s
+  match Interop.of_schema s with
+  | Some st -> (
+      match Subtype.check t st with
+      | Subtype.Sub -> Proved
+      | Subtype.Not_sub w -> Refute ([ w ], "kernel subtype witness")
+      | Subtype.Unknown _ -> structural ctx ~fuel t s)
+  | None -> structural ctx ~fuel t s
 
 and structural ctx ~fuel (t : Types.t) (s : S.t) : outcome =
   match s with
@@ -658,3 +659,43 @@ let check ?(config = Jsonschema.Validate.default_config) ~root (t : Types.t) :
           | None ->
               Kernel.hit c_unknown;
               Unknown reason))
+
+(* ------------------------------------------------------------------ *)
+
+(* Both engines' verdict on [w] under [root]; [None] when they disagree
+   or the schema does not compile. *)
+let engines root =
+  match Jsonschema.Compile.compile root with
+  | Error _ -> fun _ -> None
+  | Ok plan ->
+      fun w ->
+        let v = Jsonschema.Validate.is_valid ~root w in
+        if Bool.equal v (Jsonschema.Compile.is_valid plan w) then Some v else None
+
+let check_schema ~root sub : verdict =
+  match (Jsonschema.Parse.of_json sub, Jsonschema.Parse.of_json root) with
+  | Error e, _ | _, Error e ->
+      Unknown ("schema does not parse: " ^ Jsonschema.Parse.string_of_error e)
+  | Ok sub_schema, Ok _ -> (
+      let in_sub = engines sub and in_super = engines root in
+      let separates w = in_sub w = Some true && in_super w = Some false in
+      (* seeded generation: the only evidence outside the exact fragment *)
+      let refute reason =
+        let st = Jsonschema.Generate.rng ~seed:97 in
+        let rec go k =
+          if k = 0 then Unknown reason
+          else
+            match Jsonschema.Generate.generate_valid st ~root:sub with
+            | Some w when separates w -> Not_contained w
+            | Some _ | None -> go (k - 1)
+        in
+        go 200
+      in
+      match Interop.of_schema sub_schema with
+      | Some t -> (
+          match check ~root t with
+          | Not_contained w when separates w -> Not_contained w
+          | Not_contained _ -> refute "witness disputed under the sub-schema"
+          | Unknown reason -> refute reason
+          | Contained -> Contained)
+      | None -> refute "sub-schema outside the exact fragment; no counterexample found")

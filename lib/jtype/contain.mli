@@ -6,9 +6,9 @@
     algebra to the schema library, not back. [check ~root t] walks the
     schema keyword by keyword against each inhabited union branch of [t]:
     type-kind booleans, folded numeric bounds, [required]/[properties]
-    coverage, [enum]/[const] sets, array shape. Schemas inside the exact
-    structural fragment ({!Containment.exact}) short-circuit through the
-    kernel subtype procedure {!Subtype.check}.
+    coverage, [enum]/[const] sets, array shape. Schemas the type algebra
+    expresses exactly ({!Interop.of_schema} returns [Some]) short-circuit
+    through the kernel subtype procedure {!Subtype.check}.
 
     Three-valued and self-verifying: a [Not_contained w] verdict carries a
     concrete member [w] of [t] that {b both} validation engines
@@ -38,5 +38,15 @@ val check :
     and which keywords assert — with [assert_formats] unset (the default),
     [format] is an annotation and never blocks a proof. An unparseable
     schema is [Unknown], never a guess. *)
+
+val check_schema : root:Json.Value.t -> Json.Value.t -> verdict
+(** [check_schema ~root sub]: is every instance of the schema [sub] an
+    instance of [root]? Schema-in-schema containment, the evolution check
+    "old ⊆ new". When [sub] is in the exact fragment the answer is
+    [check ~root] on its translation; otherwise, and whenever that is
+    [Unknown], it is refutation by seeded instance generation from [sub].
+    Either way a [Not_contained w] witness is accepted under [sub] and
+    rejected under [root] by both engines. [Contained] is only ever
+    proved, never sampled; a schema that does not parse gives [Unknown]. *)
 
 val verdict_to_string : verdict -> string

@@ -31,98 +31,63 @@ let rec to_schema (t : Types.t) : Jsonschema.Schema.t =
 
 let to_schema_json t = Jsonschema.Print.to_json (to_schema t)
 
-let rec of_schema_in ~definitions ~seen (s : Jsonschema.Schema.t) : Types.t =
+(* [Some] of every translation, or [None] as soon as one fails *)
+let rec all f = function
+  | [] -> Some []
+  | x :: rest -> (
+      match f x with
+      | None -> None
+      | Some y -> Option.map (List.cons y) (all f rest))
+
+(* Keywords the algebra has no counterpart for. Annotations, and
+   [then]/[else] without [if], assert nothing and are ignored. *)
+let beyond_algebra (n : Jsonschema.Schema.node) =
+  let open Jsonschema.Schema in
+  n.enum <> None || n.const <> None || n.multiple_of <> None || n.maximum <> None
+  || n.exclusive_maximum <> None || n.minimum <> None || n.exclusive_minimum <> None
+  || n.min_length <> None || n.max_length <> None || n.pattern <> None
+  || n.format <> None || n.additional_items <> None || n.min_items <> None
+  || n.max_items <> None || n.unique_items || n.contains <> None
+  || n.min_contains <> None || n.max_contains <> None
+  || n.pattern_properties <> [] || n.min_properties <> None
+  || n.max_properties <> None || n.property_names <> None || n.dependencies <> []
+  || n.all_of <> [] || n.one_of <> [] || n.not_ <> None || n.if_ <> None
+  || n.ref_ <> None || n.definitions <> []
+
+let rec of_schema (s : Jsonschema.Schema.t) : Types.t option =
   let open Jsonschema.Schema in
   match s with
-  | Bool_schema true -> Types.any
-  | Bool_schema false -> Types.bot
+  | Bool_schema true -> Some Types.any
+  | Bool_schema false -> Some Types.bot
+  | Schema n when beyond_algebra n -> None
   | Schema n -> (
-      match n.ref_ with
-      | Some target when not (List.mem target seen) -> (
-          (* only "#/definitions/<name>" refs are resolved *)
-          match String.split_on_char '/' target with
-          | [ "#"; "definitions"; name ] -> (
-              match List.assoc_opt name definitions with
-              | Some sub -> of_schema_in ~definitions ~seen:(target :: seen) sub
-              | None -> Types.any)
-          | _ -> Types.any)
-      | Some _ -> Types.any (* cyclic: cut with Any *)
-      | None ->
-          if n.any_of <> [] then
-            Types.union (List.map (of_schema_in ~definitions ~seen) n.any_of)
-          else if n.one_of <> [] then
-            Types.union (List.map (of_schema_in ~definitions ~seen) n.one_of)
-          else if n.all_of <> [] then
-            (* approximate a conjunction by its first conjunct *)
-            of_schema_in ~definitions ~seen (List.hd n.all_of)
-          else
-            match n.types with
-            | None -> infer_untyped ~definitions ~seen n
-            | Some ts ->
-                Types.union (List.map (of_schema_typed ~definitions ~seen n) ts))
-
-and infer_untyped ~definitions ~seen n =
-  let open Jsonschema.Schema in
-  if n.properties <> [] || n.required <> [] then
-    of_schema_typed ~definitions ~seen n `Object
-  else if n.items <> None then of_schema_typed ~definitions ~seen n `Array
-  else if n.minimum <> None || n.maximum <> None || n.multiple_of <> None then
-    Types.num
-  else if n.pattern <> None || n.min_length <> None || n.max_length <> None then
-    Types.str
-  else
-    match (n.const, n.enum) with
-    | Some c, _ -> Types.of_value c
-    | None, Some vs -> Types.union (List.map Types.of_value vs)
-    | None, None -> Types.any
-
-and of_schema_typed ~definitions ~seen n t =
-  let open Jsonschema.Schema in
-  match t with
-  | `Null -> Types.null
-  | `Boolean -> Types.bool
-  | `Integer -> Types.int
-  | `Number -> Types.num
-  | `String -> Types.str
-  | `Array ->
-      let elem =
-        match n.items with
-        | Some (Items_one s) -> of_schema_in ~definitions ~seen s
-        | Some (Items_many ss) ->
-            Types.union (List.map (of_schema_in ~definitions ~seen) ss)
-        | None -> Types.any
-      in
-      Types.arr elem
-  | `Object ->
-      if n.properties = [] && n.pattern_properties = [] && n.additional_properties = None
-      then
-        (* open object with no described fields: approximate as {} with
-           everything optional is wrong (closed); use Any-field record *)
-        Types.rec_
-          (List.map (fun r -> Types.field r Types.any) n.required)
-      else
-        let closed =
+      let no_object = n.properties = [] && n.required = [] && n.additional_properties = None in
+      let scalar t = if no_object && n.items = None then Some t else None in
+      match (n.types, n.any_of) with
+      | None, [] -> scalar Types.any
+      | None, branches when no_object && n.items = None ->
+          Option.map Types.union (all of_schema branches)
+      | Some [ `Null ], [] -> scalar Types.null
+      | Some [ `Boolean ], [] -> scalar Types.bool
+      | Some [ `Integer ], [] -> scalar Types.int
+      | Some [ `Number ], [] -> scalar Types.num
+      | Some [ `String ], [] -> scalar Types.str
+      | Some [ `Array ], [] when no_object -> (
+          match n.items with
+          | None -> Some (Types.arr Types.any)
+          | Some (Items_one s) -> Option.map Types.arr (of_schema s)
+          | Some (Items_many _) -> None)
+      | Some [ `Object ], [] -> (
           match n.additional_properties with
-          | Some (Bool_schema false) -> true
-          | _ -> false
-        in
-        ignore closed;
-        Types.rec_
-          (List.map
-             (fun (k, s) ->
-               Types.field
-                 ~optional:(not (List.mem k n.required))
-                 k
-                 (of_schema_in ~definitions ~seen s))
-             n.properties)
-
-let of_schema (s : Jsonschema.Schema.t) =
-  let definitions =
-    match s with Jsonschema.Schema.Schema n -> n.Jsonschema.Schema.definitions | _ -> []
-  in
-  of_schema_in ~definitions ~seen:[] s
-
-let of_schema_json j =
-  match Jsonschema.Parse.of_json j with
-  | Ok s -> Ok (of_schema s)
-  | Error e -> Error (Jsonschema.Parse.string_of_error e)
+          | Some (Bool_schema false)
+            when n.items = None
+                 && List.for_all (fun r -> List.mem_assoc r n.properties) n.required ->
+              all
+                (fun (k, s) ->
+                  Option.map
+                    (Types.field ~optional:(not (List.mem k n.required)) k)
+                    (of_schema s))
+                n.properties
+              |> Option.map Types.rec_
+          | _ -> None)
+      | _ -> None)

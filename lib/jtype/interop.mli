@@ -2,17 +2,24 @@
 
     [to_schema] targets the union-free-friendly fragment: records become
     [type: object] with [properties]/[required]/[additionalProperties:
-    false], arrays [type: array] + [items], unions [anyOf]. [of_schema]
-    abstracts a schema back into a type, over-approximating keywords the
-    algebra cannot express (bounds, patterns, enums collapse to their base
-    type). *)
+    false], arrays [type: array] + [items], unions [anyOf]. [of_schema] is
+    its exact inverse on that fragment and refuses everything else. *)
 
 val to_schema : Types.t -> Jsonschema.Schema.t
 val to_schema_json : Types.t -> Json.Value.t
 
-val of_schema : Jsonschema.Schema.t -> Types.t
-(** Over-approximation: every value accepted by the schema inhabits the
-    returned type (the converse need not hold). [$ref]s resolve through
-    [definitions] when local, otherwise become [Any]. *)
+val of_schema : Jsonschema.Schema.t -> Types.t option
+(** The type with exactly the schema's instances, or [None] when the
+    schema lies outside the fragment the algebra expresses: boolean
+    schemas, a node with no keyword, a single scalar [type], [type: array]
+    with no [items] or homogeneous [items], closed objects
+    ([additionalProperties: false]) whose [required] names only declared
+    [properties], and [anyOf] at an untyped node — nested arbitrarily.
+    Any other asserting keyword ([enum], bounds, [pattern], positional
+    [items], [$ref], [allOf]/[oneOf]/[not], ...) or an open object gives
+    [None]. [of_schema (to_schema t) = Some t] for every [t].
 
-val of_schema_json : Json.Value.t -> (Types.t, string) result
+    Exact up to one representation detail: an integral float such as
+    [3.0] is a valid [integer] but not a member of [Int]. No keyword
+    {!Contain} decides tells [3.0] from [3], so containment verdicts are
+    unaffected. *)

@@ -125,7 +125,7 @@ let test_label_more_precise_than_kind () =
       Alcotest.(check bool) "kind ok" true (Typecheck.member (parse src) k);
       Alcotest.(check bool) "label ok" true (Typecheck.member (parse src) l))
     docs;
-  Alcotest.(check bool) "label <= kind" true (Typecheck.subtype l k)
+  Alcotest.(check bool) "label <= kind" true (Subtype.is_sub l k)
 
 (* --- membership / subtyping ------------------------------------------- *)
 
@@ -158,7 +158,7 @@ let test_check_mismatch_location () =
       Alcotest.(check string) "pointer" "/a/1" (Json.Pointer.to_string m.Typecheck.at)
 
 let test_subtype () =
-  let sub = Typecheck.subtype in
+  let sub = Subtype.is_sub in
   Alcotest.(check bool) "bot <= int" true (sub Types.bot Types.int);
   Alcotest.(check bool) "int <= any" true (sub Types.int Types.any);
   Alcotest.(check bool) "int <= num" true (sub Types.int Types.num);
@@ -266,33 +266,6 @@ let test_to_schema () =
     (Jsonschema.Validate.is_valid ~root (parse {|{"name": "x"}|}));
   Alcotest.(check bool) "rejects extra (closed)" false
     (Jsonschema.Validate.is_valid ~root (parse {|{"id": 1, "zzz": 0}|}))
-
-let test_of_schema () =
-  let s =
-    Jsonschema.Parse.of_string_exn
-      {|{"type": "object",
-         "properties": {"id": {"type": "integer"},
-                        "vals": {"type": "array", "items": {"type": "number"}}},
-         "required": ["id"]}|}
-  in
-  Alcotest.check ty "roundtrip structure"
-    (Types.rec_
-       [ Types.field "id" Types.int;
-         Types.field ~optional:true "vals" (Types.arr Types.num) ])
-    (Interop.of_schema s)
-
-let test_schema_type_galois () =
-  (* to_schema then of_schema loses nothing on the algebra's fragment *)
-  let types =
-    [ Types.int;
-      Types.arr Types.str;
-      Types.union [ Types.null; Types.bool ];
-      Types.rec_ [ Types.field "a" Types.int; Types.field ~optional:true "b" Types.str ] ]
-  in
-  List.iter
-    (fun t -> Alcotest.check ty "of_schema (to_schema t) = t" t
-        (Interop.of_schema (Interop.to_schema t)))
-    types
 
 (* --- counting types ---------------------------------------------------- *)
 
@@ -424,7 +397,7 @@ let prop_subtype_sound_on_members =
       let ta = Types.of_value a in
       let tb = Merge.merge ~equiv:Merge.Kind ta (Types.of_value b) in
       (* ta <= tb by construction...if subtype says so, members must agree *)
-      (not (Typecheck.subtype ta tb))
+      (not (Subtype.is_sub ta tb))
       || (not (Typecheck.member v ta))
       || Typecheck.member v tb)
 
@@ -452,108 +425,6 @@ let prop_to_schema_sound =
       List.for_all (fun v -> Jsonschema.Validate.is_valid ~root v) vs)
 
 
-(* --- containment ------------------------------------------------------- *)
-
-let test_containment_included () =
-  let s = Json.Parser.parse_exn in
-  let check a b = Containment.check (s a) (s b) in
-  (match check {|{"type": "integer"}|} {|{"type": "number"}|} with
-   | Containment.Included -> ()
-   | v -> Alcotest.fail ("int <= num: " ^ Containment.verdict_to_string v));
-  (match check {|{"type": "integer"}|} {|{"anyOf": [{"type": "integer"}, {"type": "string"}]}|} with
-   | Containment.Included -> ()
-   | v -> Alcotest.fail ("int <= int|str: " ^ Containment.verdict_to_string v));
-  (* a record with a mandatory field is included in one where it is optional *)
-  match
-    check
-      {|{"type": "object", "properties": {"a": {"type": "integer"}},
-         "required": ["a"], "additionalProperties": false}|}
-      {|{"type": "object", "properties": {"a": {"type": "integer"}},
-         "additionalProperties": false}|}
-  with
-  | Containment.Included -> ()
-  | v -> Alcotest.fail ("record width: " ^ Containment.verdict_to_string v)
-
-let test_containment_refuted () =
-  let s = Json.Parser.parse_exn in
-  (match Containment.check (s {|{"type": "number"}|}) (s {|{"type": "integer"}|}) with
-   | Containment.Not_included cex ->
-       (* the counterexample really does separate the schemas *)
-       Alcotest.(check bool) "cex valid for sub" true
-         (Jsonschema.Validate.is_valid ~root:(s {|{"type": "number"}|}) cex);
-       Alcotest.(check bool) "cex invalid for super" false
-         (Jsonschema.Validate.is_valid ~root:(s {|{"type": "integer"}|}) cex)
-   | v -> Alcotest.fail ("num !<= int: " ^ Containment.verdict_to_string v));
-  (* refutation works outside the structural fragment too *)
-  match
-    Containment.check
-      (s {|{"type": "integer", "minimum": 0, "maximum": 100}|})
-      (s {|{"type": "integer", "minimum": 50}|})
-  with
-  | Containment.Not_included _ -> ()
-  | v -> Alcotest.fail ("bounds: " ^ Containment.verdict_to_string v)
-
-let test_containment_unknown_outside_fragment () =
-  let s = Json.Parser.parse_exn in
-  (* true containment but with keywords outside the fragment: Unknown, not
-     a wrong answer *)
-  match
-    Containment.check
-      (s {|{"type": "integer", "minimum": 5}|})
-      (s {|{"type": "integer", "minimum": 0}|})
-  with
-  | Containment.Unknown | Containment.Included -> ()
-  | Containment.Not_included cex ->
-      Alcotest.fail
-        ("must not produce a false counterexample: " ^ Json.Printer.to_string cex)
-
-let test_containment_equivalent () =
-  let s = Json.Parser.parse_exn in
-  match
-    Containment.equivalent
-      (s {|{"anyOf": [{"type": "integer"}, {"type": "string"}]}|})
-      (s {|{"anyOf": [{"type": "string"}, {"type": "integer"}]}|})
-  with
-  | Containment.Included -> ()
-  | v -> Alcotest.fail ("union order: " ^ Containment.verdict_to_string v)
-
-let test_satisfiable () =
-  let s = Json.Parser.parse_exn in
-  (match Containment.satisfiable (s {|{"type": "integer", "minimum": 3, "maximum": 5}|}) with
-   | Containment.Satisfiable w ->
-       Alcotest.(check bool) "witness valid" true
-         (Jsonschema.Validate.is_valid
-            ~root:(s {|{"type": "integer", "minimum": 3, "maximum": 5}|}) w)
-   | Containment.Maybe_unsatisfiable -> Alcotest.fail "should find a witness");
-  match Containment.satisfiable (s "false") with
-  | Containment.Maybe_unsatisfiable -> ()
-  | Containment.Satisfiable _ -> Alcotest.fail "false has no instances"
-
-(* property: check never returns a wrong Included on the fragment, tested
-   by sampling sub instances and validating against super *)
-let prop_containment_included_is_sound =
-  QCheck2.Test.make ~name:"Included implies instance-level inclusion" ~count:60
-    QCheck2.Gen.(pair (list_size (int_range 1 5) gen_value) (list_size (int_range 1 5) gen_value))
-    (fun (va, vb) ->
-      (* build two fragment schemas from inferred types *)
-      let ta = Merge.merge_all ~equiv:Merge.Kind (List.map Types.of_value va) in
-      let tb = Merge.merge_all ~equiv:Merge.Kind (List.map Types.of_value (va @ vb)) in
-      let sa = Interop.to_schema_json ta and sb = Interop.to_schema_json tb in
-      match Containment.check ~samples:30 sa sb with
-      | Containment.Included ->
-          (* every sampled instance of sa must satisfy sb *)
-          let st = Jsonschema.Generate.rng ~seed:7 in
-          List.for_all
-            (fun _ ->
-              match Jsonschema.Generate.generate_valid st ~root:sa with
-              | Some v -> Jsonschema.Validate.is_valid ~root:sb v
-              | None -> true)
-            (List.init 20 Fun.id)
-      | Containment.Not_included cex ->
-          Jsonschema.Validate.is_valid ~root:sa cex
-          && not (Jsonschema.Validate.is_valid ~root:sb cex)
-      | Containment.Unknown -> true)
-
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "jtype"
@@ -580,15 +451,7 @@ let () =
          Alcotest.test_case "swift struct" `Quick test_swift;
          Alcotest.test_case "swift union enum" `Quick test_swift_union_enum ]);
       ("interop",
-       [ Alcotest.test_case "to_schema" `Quick test_to_schema;
-         Alcotest.test_case "of_schema" `Quick test_of_schema;
-         Alcotest.test_case "galois roundtrip" `Quick test_schema_type_galois ]);
-      ("containment",
-       [ Alcotest.test_case "included" `Quick test_containment_included;
-         Alcotest.test_case "refuted" `Quick test_containment_refuted;
-         Alcotest.test_case "unknown outside fragment" `Quick test_containment_unknown_outside_fragment;
-         Alcotest.test_case "equivalence" `Quick test_containment_equivalent;
-         Alcotest.test_case "satisfiability" `Quick test_satisfiable ]);
+       [ Alcotest.test_case "to_schema" `Quick test_to_schema ]);
       ("counting",
        [ Alcotest.test_case "basics" `Quick test_counting_basic;
          Alcotest.test_case "erase" `Quick test_counting_erase;
@@ -598,6 +461,5 @@ let () =
        q [ prop_sound; prop_merge_commutative; prop_merge_associative;
            prop_merge_idempotent; prop_merge_upper_bound;
            prop_subtype_sound_on_members; prop_counting_erase_coherent;
-           prop_counting_total; prop_to_schema_sound;
-           prop_containment_included_is_sound ]);
+           prop_counting_total; prop_to_schema_sound ]);
     ]

@@ -14,9 +14,14 @@
 
    The conformance/containment/*.json corpus pins hand-written cases
    (type, schema, expected verdict, witness validity) through the same
-   oracle. *)
+   oracle. The exact fragment schema-in-schema containment relies on
+   ([Interop.of_schema]) is pinned here too; [Contain.check_schema] itself
+   (behind [jsontool compat]) is covered by test_compat.ml, and the
+   [@runtest-subtype] alias runs both, so every inclusion procedure is
+   exercised. *)
 
 open Jtype
+open Jtype_gen
 module V = Json.Value
 
 let read_file path =
@@ -25,76 +30,6 @@ let read_file path =
   let s = really_input_string ic n in
   close_in ic;
   s
-
-(* --- generators -------------------------------------------------------- *)
-
-(* Field names from a tiny pool so random record types overlap — subtyping
-   between records with disjoint fields is trivially refuted and tests
-   nothing. *)
-let gen_type : Types.t QCheck2.Gen.t =
-  QCheck2.Gen.(
-    let scalar =
-      oneofl [ Types.null; Types.bool; Types.int; Types.num; Types.str ]
-    in
-    let leaf =
-      frequency [ (8, scalar); (1, return Types.bot); (1, return Types.any) ]
-    in
-    let key = string_size ~gen:(char_range 'a' 'd') (return 1) in
-    sized @@ fix (fun self n ->
-        if n <= 0 then leaf
-        else
-          frequency
-            [ (3, leaf);
-              (2, map Types.arr (self (n / 2)));
-              (2,
-               map
-                 (fun fields ->
-                   let seen = Hashtbl.create 4 in
-                   Types.rec_
-                     (List.filter
-                        (fun (f : Types.field) ->
-                          if Hashtbl.mem seen f.Types.fname then false
-                          else begin
-                            Hashtbl.add seen f.Types.fname ();
-                            true
-                          end)
-                        fields))
-                 (list_size (int_range 0 3)
-                    (map2
-                       (fun (k, opt) t -> Types.field ~optional:opt k t)
-                       (pair key bool) (self (n / 2)))));
-              (2, map Types.union (list_size (int_range 2 4) (self (n / 2))));
-            ]))
-
-let gen_value = QCheck2.Gen.(
-  let scalar =
-    oneof
-      [ return V.Null;
-        map (fun b -> V.Bool b) bool;
-        map (fun n -> V.Int n) (int_range (-100) 100);
-        map (fun f -> V.Float f) (float_range (-100.) 100.);
-        map (fun s -> V.String s) (string_size ~gen:(char_range 'a' 'e') (int_range 0 3));
-      ]
-  in
-  let key = string_size ~gen:(char_range 'a' 'd') (return 1) in
-  sized @@ fix (fun self n ->
-      if n <= 0 then scalar
-      else
-        frequency
-          [ (3, scalar);
-            (1, map (fun vs -> V.Array vs) (list_size (int_range 0 3) (self (n / 2))));
-            (1,
-             map
-               (fun fields ->
-                 let seen = Hashtbl.create 4 in
-                 V.Object
-                   (List.filter
-                      (fun (k, _) ->
-                        if Hashtbl.mem seen k then false
-                        else (Hashtbl.add seen k (); true))
-                      fields))
-               (list_size (int_range 0 3) (pair key (self (n / 2)))));
-          ]))
 
 (* --- QCheck properties -------------------------------------------------- *)
 
@@ -120,13 +55,49 @@ let prop_sub_sound_on_values =
       | Subtype.Sub -> Typecheck.member v b
       | Subtype.Not_sub _ | Subtype.Unknown _ -> true)
 
+(* The syntactic subtyping rules (formerly [Typecheck.subtype]): sound but
+   incomplete — unions of records are compared branch by branch, never
+   distributed. Kept here only as an oracle for [Subtype.check]. *)
+let rec syntactic_sub (a : Types.t) (b : Types.t) =
+  a == b
+  || match (a.Types.node, b.Types.node) with
+  | Types.Bot, _ -> true
+  | _, Types.Any -> true
+  | Types.Any, _ -> false
+  | _, Types.Bot -> false
+  | Types.Null, Types.Null | Types.Bool, Types.Bool | Types.Str, Types.Str -> true
+  | Types.Int, (Types.Int | Types.Num) -> true
+  | Types.Num, Types.Num -> true
+  | Types.Arr x, Types.Arr y -> syntactic_sub x y
+  | Types.Rec xs, Types.Rec ys -> syntactic_sub_fields xs ys
+  | Types.Union ts, _ -> List.for_all (fun t -> syntactic_sub t b) ts
+  | _, Types.Union us -> List.exists (fun u -> syntactic_sub a u) us
+  | (Types.Null | Types.Bool | Types.Int | Types.Num | Types.Str | Types.Arr _
+    | Types.Rec _), _ ->
+      false
+
+(* closed records: every field of xs exists in ys with a compatible type,
+   and every field of ys that xs lacks or leaves optional is optional *)
+and syntactic_sub_fields xs ys =
+  let find name fs = List.find_opt (fun f -> String.equal f.Types.fname name) fs in
+  List.for_all
+    (fun (x : Types.field) ->
+      match find x.Types.fname ys with
+      | None -> false
+      | Some y ->
+          syntactic_sub x.Types.ftype y.Types.ftype
+          && ((not x.Types.optional) || y.Types.optional))
+    xs
+  && List.for_all
+       (fun (y : Types.field) -> Option.is_some (find y.Types.fname xs) || y.Types.optional)
+       ys
+
 let prop_at_least_syntactic =
   (* the syntactic approximation is sound, so everything it proves the
      witness engine must also prove — it can only be more complete *)
   QCheck2.Test.make ~name:"subtype: refines Typecheck.subtype" ~count:1000
     QCheck2.Gen.(pair gen_type gen_type)
-    (fun (a, b) ->
-      (not (Typecheck.subtype a b)) || Subtype.check a b = Subtype.Sub)
+    (fun (a, b) -> (not (syntactic_sub a b)) || Subtype.check a b = Subtype.Sub)
 
 let prop_union_monotone =
   QCheck2.Test.make ~name:"subtype: t ≤ t ∪ u" ~count:500
@@ -167,6 +138,30 @@ let prop_contain_self =
       | Contain.Contained -> true
       | Contain.Not_contained _ -> false (* would be outright unsound *)
       | Contain.Unknown _ -> true (* conservative is allowed, wrong is not *))
+
+(* [to_schema] writes the empty-array type [Arr Bot] as an unconstrained
+   [type: array] (no [items]): the one place the round trip widens *)
+let rec widen_empty_arrays (t : Types.t) =
+  match t.Types.node with
+  | Types.Arr { Types.node = Types.Bot; _ } -> Types.arr Types.any
+  | Types.Arr e -> Types.arr (widen_empty_arrays e)
+  | Types.Rec fs ->
+      Types.rec_
+        (List.map
+           (fun (f : Types.field) ->
+             Types.field ~optional:f.Types.optional f.Types.fname
+               (widen_empty_arrays f.Types.ftype))
+           fs)
+  | Types.Union ts -> Types.union (List.map widen_empty_arrays ts)
+  | Types.Any | Types.Bot | Types.Null | Types.Bool | Types.Int | Types.Num
+  | Types.Str ->
+      t
+
+let prop_galois =
+  QCheck2.Test.make ~name:"galois roundtrip" ~count:1000 gen_type (fun t ->
+      match Interop.of_schema (Interop.to_schema t) with
+      | Some t' -> Types.equal t' (widen_empty_arrays t)
+      | None -> false)
 
 (* --- unit pins ---------------------------------------------------------- *)
 
@@ -284,6 +279,44 @@ let test_contain_basics () =
   Alcotest.(check string) "enum pigeonholed over int" "not_contained"
     (kind (Contain.check ~root:(parse {|{"enum":[0,1,2]}|}) Types.int))
 
+let ty = Alcotest.testable Types.pp Types.equal
+let schema = Jsonschema.Parse.of_string_exn
+
+let test_of_schema () =
+  let props =
+    {|"properties": {"id": {"type": "integer"},
+                     "vals": {"type": "array", "items": {"type": "number"}}},
+      "required": ["id"]|}
+  in
+  Alcotest.(check (option ty)) "closed object translates exactly"
+    (Some
+       (Types.rec_
+          [ Types.field "id" Types.int;
+            Types.field ~optional:true "vals" (Types.arr Types.num) ]))
+    (Interop.of_schema
+       (schema ({|{"type": "object", "additionalProperties": false, |} ^ props ^ "}")));
+  (* an open object also admits undeclared fields: no closed record says so *)
+  Alcotest.(check (option ty)) "open object refused" None
+    (Interop.of_schema (schema ({|{"type": "object", |} ^ props ^ "}")))
+
+let test_of_schema_refuses () =
+  List.iter
+    (fun (name, src) ->
+      Alcotest.(check (option ty)) name None (Interop.of_schema (schema src)))
+    [ ("open object", {|{"type": "object", "properties": {"a": {"type": "integer"}}}|});
+      ("required names an undeclared property",
+       {|{"type": "object", "properties": {}, "required": ["a"],
+          "additionalProperties": false}|});
+      ("enum", {|{"enum": [1, 2]}|});
+      ("minimum", {|{"type": "integer", "minimum": 0}|});
+      ("pattern", {|{"type": "string", "pattern": "^a"}|});
+      ("positional items", {|{"type": "array", "items": [{"type": "integer"}]}|});
+      ("$ref", {|{"definitions": {"i": {"type": "integer"}}, "$ref": "#/definitions/i"}|});
+      ("oneOf", {|{"oneOf": [{"type": "integer"}, {"type": "string"}]}|});
+      ("not", {|{"not": {"type": "integer"}}|});
+      ("nested out-of-fragment keyword",
+       {|{"type": "array", "items": {"type": "string", "maxLength": 3}}|}) ]
+
 (* --- conformance corpus: type, schema, expected verdict ----------------- *)
 
 let containment_corpus_case file case =
@@ -363,6 +396,11 @@ let () =
          [ prop_reflexive; prop_witness_sound; prop_sub_sound_on_values;
            prop_at_least_syntactic; prop_union_monotone; prop_contain_oracle;
            prop_contain_self ]);
+      ("interop",
+       [ Alcotest.test_case "of_schema" `Quick test_of_schema;
+         Alcotest.test_case "of_schema refuses out-of-fragment shapes" `Quick
+           test_of_schema_refuses;
+         QCheck_alcotest.to_alcotest prop_galois ]);
       ("units",
        [ Alcotest.test_case "scalars" `Quick test_scalars;
          Alcotest.test_case "records" `Quick test_records;
