@@ -15,16 +15,19 @@
 
 open Core
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let or_die = function
+  | Ok x -> x
+  | Error msg ->
+      prerr_endline ("jsontool: " ^ msg);
+      exit 1
 
+(* an unreadable file is a usage error (rc 1), like any other bad input;
+   Sys_error's message already names the path *)
 let read_input = function
   | "-" -> In_channel.input_all In_channel.stdin
-  | path -> read_file path
+  | path -> (
+      try In_channel.with_open_bin path In_channel.input_all
+      with Sys_error msg -> or_die (Error msg))
 
 (* All raw text enters through the resilient layer; the classic subcommands
    use its strict (fail-fast) mode, [ingest] uses full quarantine. The depth
@@ -37,12 +40,6 @@ let load_documents ?options ?max_depth ?(jobs = 1) ?telemetry path =
     | Some max_depth -> { Resilient.unbounded_budget with Resilient.max_depth }
   in
   Parallel.parse_ndjson_strict ~budget ?options ~jobs ?telemetry (read_input path)
-
-let or_die = function
-  | Ok x -> x
-  | Error msg ->
-      prerr_endline ("jsontool: " ^ msg);
-      exit 1
 
 open Cmdliner
 
@@ -73,24 +70,9 @@ let jobs_arg =
            ~doc:"Shard the work across $(docv) domains (default 1, sequential). \
                  Output is byte-identical for every job count.")
 
-let engine_arg =
-  Arg.(
-    value
-    & opt (enum [ ("tree", `Tree); ("streaming", `Streaming) ]) `Streaming
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:"Execution engine: streaming (default) fuses parsing with \
-              inference/validation at token level, never materializing \
-              value trees; tree parses every document into a value first. \
-              Reports and exit codes are byte-identical either way. \
-              Validation streams only with --compiled on; JSound and the \
-              non-parametric inference approaches always use the tree \
-              engine.")
-
-let engine_name = function `Tree -> "tree" | `Streaming -> "streaming"
-
-(* supervision flags: shared by ingest/infer/validate. Supervision engages
-   only when one of them is given, so the default paths — and their
-   telemetry key sets — are exactly the pre-supervisor ones. *)
+(* supervision flags: shared by ingest/infer/validate/check. Without them a
+   run uses the no-retry policy and no journal; [infer] and [validate] then
+   fail fast on the first bad document, [ingest] and [check] quarantine. *)
 
 type sup_opts = {
   sup_retries : int;
@@ -163,9 +145,11 @@ let sup_engaged o =
   || o.sup_chaos_workers <> None
 
 let sup_policy o =
-  { Supervisor.default_policy with
-    Supervisor.max_attempts = 1 + max 0 o.sup_retries;
-    timeout_ms = o.sup_timeout_ms }
+  if not (sup_engaged o) then Supervisor.no_retry
+  else
+    { Supervisor.default_policy with
+      Supervisor.max_attempts = 1 + max 0 o.sup_retries;
+      timeout_ms = o.sup_timeout_ms }
 
 let sup_inject o =
   Option.map
@@ -200,7 +184,9 @@ let make_sink ~stats ~stats_json =
   if stats || stats_json then Telemetry.create () else Telemetry.nop
 
 (* [tags] lands ahead of the metric families in the JSON form — the engine
-   tag, so a stats consumer can tell which executor produced the numbers *)
+   tag, so a stats consumer can tell which engine produced the numbers:
+   streaming for parametric inference, JSON Schema validation and check,
+   tree for JSound and the other inference approaches *)
 let emit_stats ?(tags = []) ~stats ~stats_json sink =
   if Telemetry.is_recording sink then begin
     let snap = Telemetry.snapshot sink in
@@ -215,7 +201,8 @@ let emit_stats ?(tags = []) ~stats ~stats_json sink =
     if stats then prerr_string (Telemetry_report.to_table snap)
   end
 
-let engine_tags engine = [ ("engine", Json.Value.String (engine_name engine)) ]
+let engine_tags streaming =
+  [ ("engine", Json.Value.String (if streaming then "streaming" else "tree")) ]
 
 (* --- parse ----------------------------------------------------------- *)
 
@@ -282,20 +269,14 @@ let ingest_cmd =
         max_docs = cap max_docs d.Resilient.max_docs }
     in
     let options = { Json.Parser.default_options with dup_keys } in
-    let r =
-      if sup_engaged sup then begin
-        let r, s =
-          or_die
-            (Pipeline.ingest_ndjson_supervised ~budget ~options
-               ~policy:(sup_policy sup) ?inject:(sup_inject sup)
-               ?checkpoint:(sup_checkpoint sup) ~resume:sup.sup_resume ~jobs
-               ~telemetry:sink text)
-        in
-        emit_supervision s;
-        r
-      end
-      else Parallel.ingest ~budget ~options ~jobs ~telemetry:sink text
+    let r, s =
+      or_die
+        (Pipeline.ingest_ndjson_supervised ~budget ~options
+           ~policy:(sup_policy sup) ?inject:(sup_inject sup)
+           ?checkpoint:(sup_checkpoint sup) ~resume:sup.sup_resume ~jobs
+           ~telemetry:sink text)
     in
+    if sup_engaged sup then emit_supervision s;
     (* attribution: dead letters an injected fault can claim get the fault's
        site id as their cause, so a drill is distinguishable from a real
        corpus problem in quarantine output *)
@@ -354,33 +335,9 @@ let validate_cmd =
          & info [ "language"; "l" ] ~doc:"Schema language: jsonschema or jsound.")
   in
   let formats = Arg.(value & flag & info [ "assert-formats" ] ~doc:"Treat format as an assertion.") in
-  let compiled =
-    Arg.(value & opt (enum [ ("on", true); ("off", false) ]) true
-         & info [ "compiled" ]
-             ~doc:"Compiled validation plans: on (default) lowers the schema \
-                   once into specialized closures shared across shards; off \
-                   re-interprets it per document. Affects cost only — \
-                   verdicts and error reports are byte-identical.")
-  in
-  let validate_cache =
-    Arg.(value & opt (enum [ ("on", true); ("off", false) ]) true
-         & info [ "validate-cache" ]
-             ~doc:"Fingerprint-keyed compiled-schema cache: on (default) or \
-                   off. Affects cost only, never verdicts; off forces a \
-                   fresh compilation per run and drops the \
-                   validate.cache.* counters.")
-  in
-  let run language formats compiled validate_cache engine sup jobs stats
-      stats_json schema_file file =
-    Jsonschema.Compile.set_cache validate_cache;
+  let run language formats sup jobs stats stats_json schema_file file =
     let sink = make_sink ~stats ~stats_json in
     let schema_json = or_die (Result.map_error Json.Parser.string_of_error (Json.Parser.parse (read_input schema_file))) in
-    (* the fused walk needs a compiled plan; JSound has none *)
-    let engine =
-      match (language, compiled) with
-      | (`Jsound, _) | (_, false) -> `Tree
-      | _ -> engine
-    in
     let failures = ref 0 in
     let print_failures ndocs fs =
       List.iter
@@ -404,15 +361,15 @@ let validate_cmd =
          in
          let r, fs, s =
            or_die
-             (Pipeline.validate_ndjson_supervised ~config ~compiled
+             (Pipeline.validate_ndjson_supervised ~config
                 ~budget:Resilient.unbounded_budget ~policy:(sup_policy sup)
                 ?inject:(sup_inject sup) ?checkpoint:(sup_checkpoint sup)
-                ~resume:sup.sup_resume ~engine ~jobs ~telemetry:sink
+                ~resume:sup.sup_resume ~jobs ~telemetry:sink
                 ~root:schema_json (read_input file))
          in
          emit_supervision s;
-         (* the streaming engine does not materialize documents: the
-            survivor count reads off the report for both engines *)
+         (* documents are not materialized: the survivor count reads off
+            the report *)
          print_failures r.Resilient.report.Resilient.ok fs
      | `Jsonschema ->
          let config =
@@ -421,10 +378,10 @@ let validate_cmd =
              telemetry = sink }
          in
          (* shard-parallel; failures come back in input order, so the
-            printout matches the sequential one — and the tree engine's *)
+            printout matches the sequential one *)
          let ndocs, fs =
            or_die
-             (Pipeline.validate_ndjson_strict ~config ~compiled ~engine ~jobs
+             (Pipeline.validate_ndjson_strict ~config ~jobs
                 ~telemetry:sink ~root:schema_json (read_input file))
          in
          print_failures ndocs fs
@@ -443,13 +400,13 @@ let validate_cmd =
            docs;
          Printf.printf "%d/%d documents valid\n" (List.length docs - !failures)
            (List.length docs));
-    emit_stats ~tags:(engine_tags engine) ~stats ~stats_json sink;
+    emit_stats ~tags:(engine_tags (language = `Jsonschema)) ~stats ~stats_json
+      sink;
     if !failures > 0 then exit 1
   in
   Cmd.v (Cmd.info "validate" ~doc:"Validate documents against a schema.")
-    Term.(const run $ language $ formats $ compiled $ validate_cache
-          $ engine_arg $ sup_term $ jobs_arg $ stats_arg $ stats_json_arg
-          $ schema_file $ input_arg)
+    Term.(const run $ language $ formats $ sup_term $ jobs_arg $ stats_arg
+          $ stats_json_arg $ schema_file $ input_arg)
 
 (* --- infer ----------------------------------------------------------- *)
 
@@ -470,20 +427,10 @@ let infer_cmd =
                        ("typescript", `Ts); ("swift", `Swift) ]) `Type
          & info [ "output"; "o" ] ~doc:"Output form for parametric inference.")
   in
-  let merge_cache =
-    Arg.(value & opt (enum [ ("on", true); ("off", false) ]) true
-         & info [ "merge-cache" ]
-             ~doc:"Memoized fusion cache of the hash-consed type kernel: on \
-                   (default) or off. Affects cost only, never the inferred \
-                   type; off bounds memory on pathological corpora and gives \
-                   an unmemoized baseline for comparisons.")
-  in
-  let run approach equiv output merge_cache engine sup jobs stats stats_json
-      file =
-    Jtype.Merge.set_memoize merge_cache;
+  let run approach equiv output sup jobs stats stats_json file =
     let sink = make_sink ~stats ~stats_json in
     (* only the parametric map/reduce has a token-level fold *)
-    let engine = if approach = `Parametric then engine else `Tree in
+    let tags = engine_tags (approach = `Parametric) in
     let print_inferred inferred output =
       match output with
       | `Type -> print_endline (Jtype.Types.to_string inferred.Pipeline.jtype)
@@ -500,7 +447,7 @@ let infer_cmd =
           (Pipeline.infer_ndjson_supervised ~equiv
              ~budget:Resilient.unbounded_budget ~policy:(sup_policy sup)
              ?inject:(sup_inject sup) ?checkpoint:(sup_checkpoint sup)
-             ~resume:sup.sup_resume ~engine ~jobs ~telemetry:sink
+             ~resume:sup.sup_resume ~jobs ~telemetry:sink
              (read_input file))
       in
       emit_supervision s;
@@ -510,18 +457,18 @@ let infer_cmd =
            Printf.eprintf "jsontool: no documents survived ingestion (%d dead)\n"
              (List.length r.Resilient.dead);
            exit 1);
-      emit_stats ~tags:(engine_tags engine) ~stats ~stats_json sink
+      emit_stats ~tags ~stats ~stats_json sink
     end
     else if approach = `Parametric then begin
       (* strict like the tree path below — the first bad document aborts
          with the same error — but folding tokens straight into types *)
       let inferred =
         or_die
-          (Pipeline.infer_ndjson ~equiv ~engine ~jobs ~telemetry:sink
+          (Pipeline.infer_ndjson ~equiv ~jobs ~telemetry:sink
              (read_input file))
       in
       print_inferred inferred output;
-      emit_stats ~tags:(engine_tags engine) ~stats ~stats_json sink
+      emit_stats ~tags ~stats ~stats_json sink
     end
     else begin
     let docs = or_die (load_documents ~jobs ~telemetry:sink file) in
@@ -542,12 +489,12 @@ let infer_cmd =
             Printf.printf "%6d  %s\n" n (Inference.Skeleton.structure_to_string s))
           sk.Inference.Skeleton.groups;
         Printf.printf "(%d documents outside the skeleton)\n" sk.Inference.Skeleton.dropped);
-    emit_stats ~tags:(engine_tags engine) ~stats ~stats_json sink
+    emit_stats ~tags ~stats ~stats_json sink
     end
   in
   Cmd.v (Cmd.info "infer" ~doc:"Infer a schema from a collection.")
-    Term.(const run $ approach $ equiv $ output $ merge_cache $ engine_arg
-          $ sup_term $ jobs_arg $ stats_arg $ stats_json_arg $ input_arg)
+    Term.(const run $ approach $ equiv $ output $ sup_term $ jobs_arg
+          $ stats_arg $ stats_json_arg $ input_arg)
 
 (* --- check ----------------------------------------------------------- *)
 
@@ -566,7 +513,7 @@ let check_cmd =
     Arg.(value & opt (enum [ ("kind", Jtype.Merge.Kind); ("label", Jtype.Merge.Label) ]) Jtype.Merge.Kind
          & info [ "equiv"; "e" ] ~doc:"Equivalence for the inference step: kind or label.")
   in
-  let run equiv formats engine sup jobs stats stats_json schema_file file =
+  let run equiv formats sup jobs stats stats_json schema_file file =
     let sink = make_sink ~stats ~stats_json in
     let schema_json =
       or_die
@@ -581,8 +528,8 @@ let check_cmd =
       or_die
         (Pipeline.check_ndjson ~equiv ~budget:Resilient.unbounded_budget
            ~policy:(sup_policy sup) ?inject:(sup_inject sup)
-           ?checkpoint:(sup_checkpoint sup) ~resume:sup.sup_resume ~engine
-           ~jobs ~telemetry:sink ~vconfig ~root:schema_json (read_input file))
+           ?checkpoint:(sup_checkpoint sup) ~resume:sup.sup_resume ~jobs
+           ~telemetry:sink ~vconfig ~root:schema_json (read_input file))
     in
     if sup_engaged sup then emit_supervision s;
     let code =
@@ -607,7 +554,7 @@ let check_cmd =
               Printf.printf "unknown: %s\n" reason;
               2)
     in
-    emit_stats ~tags:(engine_tags engine) ~stats ~stats_json sink;
+    emit_stats ~tags:(engine_tags true) ~stats ~stats_json sink;
     if code <> 0 then exit code
   in
   Cmd.v
@@ -616,8 +563,8 @@ let check_cmd =
              collection's type, then decide whether every value of that type \
              satisfies the schema. Exit 0 = contained, 1 = a counter-example \
              witness exists (printed), 2 = outside the decided fragment.")
-    Term.(const run $ equiv $ formats $ engine_arg $ sup_term $ jobs_arg
-          $ stats_arg $ stats_json_arg $ schema_file $ input_arg)
+    Term.(const run $ equiv $ formats $ sup_term $ jobs_arg $ stats_arg
+          $ stats_json_arg $ schema_file $ input_arg)
 
 (* --- stats ----------------------------------------------------------- *)
 

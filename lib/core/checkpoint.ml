@@ -24,7 +24,7 @@ type entry = {
    allocating an intermediate string per entry *)
 type journal = { oc : out_channel; buf : Buffer.t }
 
-let format_tag = "jsontool-checkpoint/1"
+let format_tag = "jsontool-checkpoint/2"
 
 (* FNV-1a 64-bit: cheap, dependency-free, and stable across runs —
    collision resistance is irrelevant here, accidental-mismatch detection

@@ -1,7 +1,7 @@
 (** Crash-safe checkpoint journal for supervised sharded jobs.
 
     Append-only NDJSON file: a header line
-    [{"format":"jsontool-checkpoint/1","job":...,"engine":...,"input_fp":...}]
+    [{"format":"jsontool-checkpoint/2","job":...,"engine":...,"input_fp":...}]
     followed by one line per {e completed} shard. Poisoned shards are never
     journaled — a resumed run retries them instead of inheriting their
     quarantine. Every line is flushed as a unit, so a crash loses at most
@@ -24,11 +24,12 @@ type entry = {
   e_off : int;   (** shard byte offset in the whole input *)
   e_len : int;
   e_line : int;  (** 1-based first line of the shard *)
-  e_ingest : Resilient.ingest;  (** the shard's full ingest result *)
+  e_ingest : Resilient.ingest;
+      (** the shard's dead letters and report ([docs] is empty) *)
   e_payload : Json.Value.t;
-      (** pipeline-specific partial result (serialized partial type for
-          inference, failure list for validation, [null] for plain
-          ingestion) *)
+      (** the shard's per-document results in the operation's journal form:
+          the merged partial type for inference, one verdict per document
+          for validation, the documents for ingestion *)
 }
 
 type journal

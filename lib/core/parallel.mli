@@ -45,7 +45,7 @@ val shards : jobs:int -> string -> shard list
 
 val merge_reports : Resilient.report -> Resilient.report -> Resilient.report
 (** Sum two shard reports (counters add, cause breakdowns merge, truncation
-    ors). Also used by the supervised pipelines ({!Pipeline}). *)
+    ors). Also used by {!Pipeline}'s shard executor. *)
 
 val dead_order : Resilient.dead_letter -> Resilient.dead_letter -> int
 (** Global input order for dead letters (by whole-input byte offset) — the

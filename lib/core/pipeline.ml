@@ -21,164 +21,88 @@ let infer ?(equiv = Jtype.Merge.Kind) ?(name = "Root") ?(jobs = 1)
   let c = Parallel.infer_counting ~equiv ~jobs ~telemetry values in
   build_inferred ~name t c
 
-(* --- the streaming engine ----------------------------------------------- *)
+(* --- the shard executor ------------------------------------------------- *)
 
 type engine = [ `Tree | `Streaming ]
 
-(* one token-level fold instance per shard: the factory shape matches
-   [Parallel.ingest_with], so the interning scratch stays domain-local *)
-let streaming_infer_doc ~equiv () =
-  let scratch = Inference.Streaming.scratch () in
-  fun ~options ~telemetry src ~pos ->
-    Inference.Streaming.infer_tokens ~options ~telemetry ~scratch ~equiv src
-      ~pos
+(* What one document becomes: the operation fixes the per-document payload,
+   the engine only how the document is read *)
+type _ operation =
+  | Ingest : Json.Value.t operation
+  | Infer : Jtype.Merge.equiv -> (Jtype.Types.t * Jtype.Counting.t) operation
+  | Validate : {
+      config : Jsonschema.Validate.config option;
+      compiled : bool;
+      root : Json.Value.t;
+    }
+      -> (unit, Jsonschema.Validate.error list) result operation
 
-(* Reduce the per-document (type, counting) pairs exactly as the tree
-   engine reduces its per-document [of_value] results — same merge
-   functions, same document order, so the same hash-consed result. The
-   telemetry mirrors the tree path's sequential shape: [infer.merge_ops]
-   counts both folds, [infer.union_width] samples the final type. *)
-let merge_streamed ~equiv ~telemetry pairs =
-  let t =
-    Telemetry.span telemetry "infer" (fun () ->
-        Jtype.Merge.merge_all ~equiv (List.map fst pairs))
+type 'd doc_step =
+  options:Json.Parser.options -> telemetry:Telemetry.sink -> string ->
+  pos:int -> ('d * int, Json.Parser.error) result
+
+(* The per-document step, and the one place the engine is chosen. The tree
+   engine parses a value and applies the operation to it; the streaming
+   engine folds the tokens directly, for validation only when the schema
+   compiles to a plan. Both consume the same bytes and return the same
+   payload or the same parse error, so everything downstream — dead
+   letters, reduce, journal — is shared. Returns the tag of the engine that
+   actually runs (the journal header records it) and a factory called once
+   per shard on the domain that runs it, so per-shard scratch (the
+   streaming engine's interning table) never crosses a domain. The plan is
+   compiled here, once for every shard and retry attempt. *)
+let doc_step : type d.
+    engine:engine -> telemetry:Telemetry.sink -> d operation ->
+    string * (unit -> d doc_step) =
+ fun ~engine ~telemetry op ->
+  let tree f =
+    ( "tree",
+      fun () ~options ~telemetry src ~pos ->
+        match Json.Parser.parse_substring ~options ~telemetry src ~pos with
+        | Ok (v, stop) -> Ok (f v, stop)
+        | Error e -> Error e )
   in
-  let c =
-    Telemetry.span telemetry "infer" (fun () ->
-        Jtype.Counting.merge_all ~equiv (List.map snd pairs))
-  in
-  if Telemetry.is_recording telemetry then begin
-    Telemetry.count telemetry "infer.merge_ops"
-      (2 * max 0 (List.length pairs - 1));
-    Telemetry.observe telemetry "infer.union_width"
-      (float_of_int (Inference.Parametric.union_width t))
-  end;
-  (t, c)
-
-let infer_ndjson ?(equiv = Jtype.Merge.Kind) ?(name = "Root")
-    ?(engine = `Streaming) ?(jobs = 1) ?telemetry text =
-  match engine with
-  | `Tree -> (
-      match Parallel.parse_ndjson_strict ~jobs ?telemetry text with
-      | Error msg -> Error msg
-      | Ok docs -> Ok (infer ~equiv ~name ~jobs ?telemetry docs))
-  | `Streaming -> (
-      let tele = Option.value telemetry ~default:Telemetry.nop in
-      Parallel.with_kernel_stats tele @@ fun () ->
-      let pairs, dead, _report =
-        Parallel.ingest_with ~budget:Resilient.unbounded_budget ~jobs
-          ~telemetry:tele
-          ~parse_doc:(streaming_infer_doc ~equiv)
-          text
-      in
-      match dead with
-      | d :: _ -> Error d.Resilient.error
-      | [] ->
-          let t, c = merge_streamed ~equiv ~telemetry:tele pairs in
-          Ok (build_inferred ~name t c))
-
-let infer_ndjson_resilient ?(equiv = Jtype.Merge.Kind) ?name ?budget
-    ?(engine = `Streaming) ?(jobs = 1) ?telemetry text =
-  match engine with
-  | `Tree ->
-      let r = Parallel.ingest ?budget ~jobs ?telemetry text in
-      let inferred =
-        match r.Resilient.docs with
-        | [] -> None
-        | docs -> Some (infer ~equiv ?name ~jobs ?telemetry docs)
-      in
-      (inferred, r)
-  | `Streaming ->
-      let tele = Option.value telemetry ~default:Telemetry.nop in
-      Parallel.with_kernel_stats tele @@ fun () ->
-      let pairs, dead, report =
-        Parallel.ingest_with ?budget ~jobs ~telemetry:tele
-          ~parse_doc:(streaming_infer_doc ~equiv)
-          text
-      in
-      let inferred =
-        match pairs with
-        | [] -> None
-        | _ ->
-            let t, c = merge_streamed ~equiv ~telemetry:tele pairs in
-            Some
-              (build_inferred ~name:(Option.value name ~default:"Root") t c)
-      in
-      (inferred, { Resilient.docs = []; dead; report })
-
-let validate_collection ?config ?compiled ?(jobs = 1) ?telemetry ~root values =
-  let failures =
-    Parallel.validate ?config ?compiled ~jobs ?telemetry ~root values
-  in
-  if failures = [] then Ok (List.length values) else Error failures
-
-(* the fused walk needs a compiled plan: when compilation is off or the
-   schema is malformed (every document must fail with the compiler's error
-   list), validation falls back to the tree engine *)
-let streaming_plan ~compiled ~engine ~telemetry root =
-  match engine with
-  | `Tree -> None
-  | `Streaming when not compiled -> None
-  | `Streaming -> (
-      match Jsonschema.Compile.plan_for ?telemetry root with
-      | Ok plan -> Some plan
-      | Error _ -> None)
-
-let streaming_validate_doc ?config plan () ~options ~telemetry src ~pos =
-  Jsonschema.Compile.run_stream ?config ~options ~telemetry plan src ~pos
-
-let indexed_failures verdicts =
-  List.mapi
-    (fun i v -> match v with Ok () -> None | Error es -> Some (i, es))
-    verdicts
-  |> List.filter_map Fun.id
-
-let validate_ndjson ?config ?compiled ?budget ?(engine = `Streaming)
-    ?(jobs = 1) ?telemetry ~root text =
-  match streaming_plan ~compiled:(compiled <> Some false) ~engine ~telemetry root with
-  | None ->
-      let r = Parallel.ingest ?budget ~jobs ?telemetry text in
-      let failures =
-        Parallel.validate ?config ?compiled ~jobs ?telemetry ~root
-          r.Resilient.docs
-      in
-      (r, failures)
-  | Some plan ->
-      let verdicts, dead, report =
-        Parallel.ingest_with ?budget ~jobs
-          ?telemetry
-          ~parse_doc:(streaming_validate_doc ?config plan)
-          text
-      in
-      ({ Resilient.docs = []; dead; report }, indexed_failures verdicts)
-
-let validate_ndjson_strict ?config ?compiled ?(engine = `Streaming)
-    ?(jobs = 1) ?telemetry ~root text =
-  match streaming_plan ~compiled:(compiled <> Some false) ~engine ~telemetry root with
-  | None -> (
-      match Parallel.parse_ndjson_strict ~jobs ?telemetry text with
-      | Error msg -> Error msg
-      | Ok docs ->
-          Ok
-            ( List.length docs,
-              Parallel.validate ?config ?compiled ~jobs ?telemetry ~root docs ))
-  | Some plan -> (
-      let verdicts, dead, _report =
-        Parallel.ingest_with ~budget:Resilient.unbounded_budget ~jobs
-          ?telemetry
-          ~parse_doc:(streaming_validate_doc ?config plan)
-          text
-      in
-      match dead with
-      | d :: _ -> Error d.Resilient.error
-      | [] -> Ok (List.length verdicts, indexed_failures verdicts))
-
-(* --- supervised sharded execution with checkpoint/resume ---------------- *)
+  match (op, engine) with
+  | Ingest, _ -> tree Fun.id
+  | Infer equiv, `Tree ->
+      tree (fun v -> (Jtype.Types.of_value v, Jtype.Counting.of_value ~equiv v))
+  | Infer equiv, `Streaming ->
+      ( "streaming",
+        fun () ->
+          let scratch = Inference.Streaming.scratch () in
+          fun ~options ~telemetry src ~pos ->
+            Inference.Streaming.infer_tokens ~options ~telemetry ~scratch
+              ~equiv src ~pos )
+  | Validate { config; compiled = false; root }, _ ->
+      tree (Jsonschema.Validate.validate ?config ~root)
+  | Validate { config; compiled = true; root }, _ -> (
+      match (Jsonschema.Compile.plan_for ~telemetry root, engine) with
+      | Ok plan, `Streaming ->
+          ( "streaming",
+            fun () ~options ~telemetry src ~pos ->
+              Jsonschema.Compile.run_stream ?config ~options ~telemetry plan
+                src ~pos )
+      | Ok plan, `Tree -> tree (Jsonschema.Compile.run ?config plan)
+      (* a malformed schema fails every document with the compiler's
+         error list, which is what the interpreter reports *)
+      | Error es, _ -> tree (fun _ -> Error es))
 
 type supervision = {
   sup_stats : Supervisor.stats;
   sup_resumed : int;
 }
+
+(* The journal form of one shard's per-document payloads. [decode] may
+   return a shorter list that stands for the same documents — inference
+   journals one merged pair per shard — so long as reducing it gives what
+   reducing the original gives. Exact round trips are what make a resumed
+   run byte-identical. *)
+type 'd codec = {
+  encode : 'd list -> Json.Value.t;
+  decode : Json.Value.t -> ('d list, string) result;
+}
+
+let ( let* ) = Result.bind
 
 (* a poisoned shard becomes one dead letter in whole-input coordinates, so
    quarantine triage reads the same whether a single document or a whole
@@ -197,160 +121,16 @@ let poison_letter ~(sh : Parallel.shard) ~failure ~attempts text =
     attempts;
     raw_prefix = String.sub text sh.Parallel.s_off len }
 
-(* Run one shard computation per shard under the supervisor, journaling
-   each completed shard. [run_shard] receives the resolved budget/options,
-   the shard descriptor and its substring, and returns the shard's ingest
-   record (dead letters + report; the tree engine also carries documents,
-   the streaming engine journals an empty document list) plus a
-   pipeline-specific JSON payload (partial inference, local validation
-   failures). Returns per-shard results in shard order: completed shards
-   carry (ingest, payload-json, resumed?), poisoned ones their failure.
-   Callers decode the payload back from JSON for resumed and fresh shards
-   alike, so both take the identical code path — that, plus exact JSON
-   round-trips, is what makes resume byte-identical. *)
-let supervised_engine ?(budget = Resilient.default_budget) ?options
-    ?(policy = Supervisor.default_policy) ?inject ?checkpoint ?(resume = false)
-    ?(jobs = 1) ?(telemetry = Telemetry.nop) ~job ~engine ~run_shard text =
-  let shards =
-    (* a document-count budget is a global order-dependent cap: it cannot
-       be applied per shard, so the whole input becomes one shard *)
-    if String.length text = 0 then []
-    else if budget.Resilient.max_docs <> None then
-      [ { Parallel.s_off = 0; s_len = String.length text; s_line = 1 } ]
-    else Parallel.shards ~jobs text
-  in
-  let journal_r =
-    match checkpoint with
-    | None -> Ok (None, [])
-    | Some path -> (
-        match Checkpoint.start ~path ~resume ~job ~engine ~input:text with
-        | Ok (j, entries) -> Ok (Some j, entries)
-        | Error e -> Error e)
-  in
-  match journal_r with
-  | Error e -> Error e
-  | Ok (journal, entries) ->
-      let find_entry (sh : Parallel.shard) =
-        List.find_opt
-          (fun e ->
-            e.Checkpoint.e_off = sh.Parallel.s_off
-            && e.Checkpoint.e_len = sh.Parallel.s_len
-            && e.Checkpoint.e_line = sh.Parallel.s_line)
-          entries
-      in
-      let tagged = List.map (fun sh -> (sh, find_entry sh)) shards in
-      let resumed_n =
-        List.fold_left
-          (fun n (_, e) -> if e = None then n else n + 1)
-          0 tagged
-      in
-      if resumed_n > 0 then
-        Telemetry.count telemetry "checkpoint.resumed_shards" resumed_n;
-      let pending =
-        List.concat
-          (List.mapi
-             (fun i (sh, e) -> if e = None then [ (i, sh) ] else [])
-             tagged)
-      in
-      (* pending shards keep their *global* index, so a deterministic fault
-         plan (Chaos.worker_faults) hits the same shards in a resumed run
-         as in the original — and never hits already-journaled ones *)
-      let globals = Array.of_list (List.map fst pending) in
-      let inject =
-        Option.map
-          (fun plan ~shard ~attempt -> plan ~shard:globals.(shard) ~attempt)
-          inject
-      in
-      (* the journal is shared across pool domains; entries land in
-         completion order, which is fine — resume matches by coordinates,
-         not position *)
-      let jmutex = Mutex.create () in
-      let record (sh : Parallel.shard) ing pjson =
-        match journal with
-        | None -> ()
-        | Some j ->
-            Mutex.lock jmutex;
-            Fun.protect
-              ~finally:(fun () -> Mutex.unlock jmutex)
-              (fun () ->
-                Checkpoint.record j
-                  { Checkpoint.e_off = sh.Parallel.s_off;
-                    e_len = sh.Parallel.s_len;
-                    e_line = sh.Parallel.s_line;
-                    e_ingest = ing;
-                    e_payload = pjson })
-      in
-      let tasks =
-        List.map
-          (fun (_, (sh : Parallel.shard)) ->
-            fun ~attempt ~tick ->
-             let sub = String.sub text sh.Parallel.s_off sh.Parallel.s_len in
-             let ing, pjson =
-               run_shard ~budget ~options ~telemetry ~attempt ~tick sh sub
-             in
-             record sh ing pjson;
-             (ing, pjson))
-          pending
-      in
-      let outcomes, stats = Supervisor.run ~policy ~telemetry ?inject ~jobs tasks in
-      let rec zip tagged outcomes =
-        match (tagged, outcomes) with
-        | [], _ -> []
-        | (sh, Some e) :: rest, _ ->
-            (sh, `Ok (e.Checkpoint.e_ingest, e.Checkpoint.e_payload, true))
-            :: zip rest outcomes
-        | (sh, None) :: rest, Supervisor.Done { value = (ing, pjson); _ } :: out ->
-            (sh, `Ok (ing, pjson, false)) :: zip rest out
-        | (sh, None) :: rest, Supervisor.Poisoned { failure; attempts } :: out ->
-            (sh, `Poisoned (failure, attempts)) :: zip rest out
-        | (_, None) :: _, [] -> assert false (* one outcome per pending shard *)
-      in
-      let results = zip tagged outcomes in
-      (match journal with Some j -> Checkpoint.close j | None -> ());
-      Ok (results, { sup_stats = stats; sup_resumed = resumed_n })
-
-(* the tree engine's shard computation: resilient ingest, then [encode]
-   over the materialized documents *)
-let tree_run_shard encode ~budget ~options ~telemetry ~attempt ~tick
-    (sh : Parallel.shard) sub =
-  let ing =
-    Resilient.ingest ~budget ?options ~first_line:sh.Parallel.s_line
-      ~base_offset:sh.Parallel.s_off ~attempt ~tick ~telemetry sub
-  in
-  (ing, encode ing)
-
-(* the streaming engine's shard computation: a token-level fold with no
-   document materialization. Dead letters and the report are byte-identical
-   to the tree shard's by [ingest_with]'s contract; the journaled ingest
-   record carries an empty document list, which is why the payload — not
-   the journal's documents — is what downstream decoding consumes. *)
-let streaming_run_shard parse_doc finish ~budget ~options ~telemetry ~attempt
-    ~tick (sh : Parallel.shard) sub =
-  let payloads, dead, report =
-    Resilient.ingest_with ~budget ?options ~first_line:sh.Parallel.s_line
-      ~base_offset:sh.Parallel.s_off ~attempt ~tick ~telemetry
-      ~parse_doc:(parse_doc ()) sub
-  in
-  ({ Resilient.docs = []; dead; report }, finish payloads)
-
-(* fuse per-shard results into one ingest: completed shards contribute
-   their documents and dead letters, poisoned shards one synthetic letter
-   each; global dead-letter order and summed reports exactly as the
-   unsupervised parallel path produces them *)
-let merge_supervised results text =
-  let docs =
-    List.concat_map
-      (fun (_, r) ->
-        match r with
-        | `Ok ((ing : Resilient.ingest), _, _) -> ing.Resilient.docs
-        | `Poisoned _ -> [])
-      results
-  in
+(* fuse per-shard results into one ingest: completed shards contribute their
+   dead letters, poisoned shards one synthetic letter each; global
+   dead-letter order and summed reports exactly as one sequential scan
+   produces them *)
+let merge_shards results text =
   let dead =
     List.concat_map
       (fun (sh, r) ->
         match r with
-        | `Ok ((ing : Resilient.ingest), _, _) -> ing.Resilient.dead
+        | `Done ((ing : Resilient.ingest), _) -> ing.Resilient.dead
         | `Poisoned (failure, attempts) ->
             [ poison_letter ~sh ~failure ~attempts text ])
       results
@@ -360,104 +140,254 @@ let merge_supervised results text =
     List.fold_left
       (fun acc (_, r) ->
         match r with
-        | `Ok ((ing : Resilient.ingest), _, _) ->
+        | `Done ((ing : Resilient.ingest), _) ->
             Parallel.merge_reports acc ing.Resilient.report
         | `Poisoned _ ->
             { acc with Resilient.poisoned = acc.Resilient.poisoned + 1 })
       Resilient.empty_report results
   in
-  { Resilient.docs; dead; report }
+  { Resilient.docs = []; dead; report }
+
+(* The one executor behind every NDJSON pipeline. The input is cut into
+   newline-aligned shards (a [max_docs] budget is a global order-dependent
+   cap, so it keeps the whole input as one shard); each shard runs
+   [Resilient.ingest_with] with the operation's per-document step under
+   [Supervisor.run]. With a [checkpoint], each completed shard's payloads
+   are journaled through [codec] and a resumed run restores journaled
+   shards instead of running them; fresh shards then decode their own
+   encoding too, so resumed and fresh shards take one path. Returns the
+   completed shards' payloads concatenated in input order, the merged
+   ingest ([docs] empty) and the supervision summary; the caller reduces
+   the payloads once, on its own domain, where the kernel's per-domain
+   merge caches outlive the pool. [Error] only for an unusable journal; a
+   shard that raises is poisoned like any other failure. *)
+let execute ?(budget = Resilient.default_budget) ?options
+    ?(policy = Supervisor.default_policy) ?inject ?checkpoint ?(resume = false)
+    ?(jobs = 1) ?(telemetry = Telemetry.nop) ~job ~engine ~op ~codec text =
+  let engine_tag, step = doc_step ~engine ~telemetry op in
+  let n = String.length text in
+  let shards =
+    if n = 0 then []
+    else if budget.Resilient.max_docs <> None then
+      [ { Parallel.s_off = 0; s_len = n; s_line = 1 } ]
+    else Parallel.shards ~jobs text
+  in
+  let sharded = List.compare_length_with shards 1 > 0 in
+  let in_span name f =
+    if sharded then Telemetry.span telemetry name f else f ()
+  in
+  if sharded then
+    Telemetry.count telemetry "parallel.shards" (List.length shards);
+  let* journal, entries =
+    match checkpoint with
+    | None -> Ok (None, [])
+    | Some path ->
+        Result.map
+          (fun (j, entries) -> (Some j, entries))
+          (Checkpoint.start ~path ~resume ~job:(Lazy.force job)
+             ~engine:engine_tag ~input:text)
+  in
+  let find_entry (sh : Parallel.shard) =
+    List.find_opt
+      (fun e ->
+        e.Checkpoint.e_off = sh.Parallel.s_off
+        && e.Checkpoint.e_len = sh.Parallel.s_len
+        && e.Checkpoint.e_line = sh.Parallel.s_line)
+      entries
+  in
+  let tagged = List.map (fun sh -> (sh, find_entry sh)) shards in
+  let resumed_n =
+    List.fold_left (fun n (_, e) -> if e = None then n else n + 1) 0 tagged
+  in
+  if resumed_n > 0 then
+    Telemetry.count telemetry "checkpoint.resumed_shards" resumed_n;
+  let pending =
+    List.concat
+      (List.mapi (fun i (sh, e) -> if e = None then [ (i, sh) ] else []) tagged)
+  in
+  (* pending shards keep their *global* index, so a deterministic fault plan
+     (Chaos.worker_faults) hits the same shards in a resumed run as in the
+     original — and never hits already-journaled ones *)
+  let globals = Array.of_list (List.map fst pending) in
+  let inject =
+    Option.map
+      (fun plan ~shard ~attempt -> plan ~shard:globals.(shard) ~attempt)
+      inject
+  in
+  (* the journal is shared across pool domains; entries land in completion
+     order, which is fine — resume matches by coordinates, not position *)
+  let jmutex = Mutex.create () in
+  let record j (sh : Parallel.shard) ing pjson =
+    Mutex.lock jmutex;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock jmutex)
+      (fun () ->
+        Checkpoint.record j
+          { Checkpoint.e_off = sh.Parallel.s_off;
+            e_len = sh.Parallel.s_len;
+            e_line = sh.Parallel.s_line;
+            e_ingest = ing;
+            e_payload = pjson })
+  in
+  let run_shard (sh : Parallel.shard) ~attempt ~tick =
+    (* a shard spanning the whole input is the input itself, not a copy *)
+    let src =
+      if sh.Parallel.s_len = n then text
+      else String.sub text sh.Parallel.s_off sh.Parallel.s_len
+    in
+    let payloads, dead, report =
+      in_span "ingest.shard" (fun () ->
+          Resilient.ingest_with ~budget ?options ~first_line:sh.Parallel.s_line
+            ~base_offset:sh.Parallel.s_off ~attempt ~tick ~telemetry
+            ~parse_doc:(step ()) src)
+    in
+    let ing = { Resilient.docs = []; dead; report } in
+    match journal with
+    | None -> (ing, `Payloads payloads)
+    | Some j ->
+        let pjson = codec.encode payloads in
+        record j sh ing pjson;
+        (ing, `Json pjson)
+  in
+  let outcomes, stats =
+    Supervisor.run ~policy ~telemetry ?inject ~jobs
+      (List.map (fun (_, sh) -> run_shard sh) pending)
+  in
+  let rec zip tagged outcomes =
+    match (tagged, outcomes) with
+    | [], _ -> []
+    | (sh, Some e) :: rest, _ ->
+        (sh, `Done (e.Checkpoint.e_ingest, `Json e.Checkpoint.e_payload))
+        :: zip rest outcomes
+    | (sh, None) :: rest, Supervisor.Done { value; _ } :: out ->
+        (sh, `Done value) :: zip rest out
+    | (sh, None) :: rest, Supervisor.Poisoned { failure; attempts } :: out ->
+        (sh, `Poisoned (failure, attempts)) :: zip rest out
+    | (_, None) :: _, [] -> assert false (* one outcome per pending shard *)
+  in
+  let results = zip tagged outcomes in
+  Option.iter Checkpoint.close journal;
+  let ingest = in_span "ingest.merge" (fun () -> merge_shards results text) in
+  (* a corrupt journal surfaces as an explicit error, never as silently
+     different output *)
+  let rec payloads acc = function
+    | [] -> Ok (List.rev acc)
+    | (_, `Done (_, `Payloads ds)) :: rest -> payloads (ds :: acc) rest
+    | (_, `Done (_, `Json j)) :: rest ->
+        let* ds = codec.decode j in
+        payloads (ds :: acc) rest
+    | (_, `Poisoned _) :: rest -> payloads acc rest
+  in
+  let* parts = payloads [] results in
+  let ds = match parts with [ ds ] -> ds | parts -> List.concat parts in
+  Ok (ds, ingest, { sup_stats = stats; sup_resumed = resumed_n })
+
+(* Without a journal [execute] cannot fail. *)
+let unjournaled = function Ok v -> v | Error e -> invalid_arg e
+
+let docs_codec =
+  { encode = (fun docs -> Json.Value.Array docs);
+    decode =
+      (function
+      | Json.Value.Array docs -> Ok docs
+      | _ -> Error "checkpoint: ingest payload must be an array") }
 
 let ingest_ndjson_supervised ?budget ?options ?policy ?inject ?checkpoint
     ?resume ?jobs ?telemetry text =
-  match
-    supervised_engine ?budget ?options ?policy ?inject ?checkpoint ?resume
-      ?jobs ?telemetry ~job:"ingest" ~engine:"tree"
-      ~run_shard:(tree_run_shard (fun _ -> Json.Value.Null))
-      text
-  with
-  | Error e -> Error e
-  | Ok (results, sup) -> Ok (merge_supervised results text, sup)
+  let* docs, ingest, sup =
+    execute ?budget ?options ?policy ?inject ?checkpoint ?resume ?jobs
+      ?telemetry ~job:(lazy "ingest") ~engine:`Tree ~op:Ingest
+      ~codec:docs_codec text
+  in
+  Ok ({ ingest with Resilient.docs }, sup)
 
 let equiv_tag = function Jtype.Merge.Kind -> "kind" | Jtype.Merge.Label -> "label"
 
-let ( let* ) = Result.bind
+(* Inference under any policy: one reduce over every document's pair, for
+   either engine and any job count — the same merges over the same document
+   order, so the same hash-consed result. A journaled shard stores its
+   pairs already merged to one; merging that in is the same as merging
+   them, since the merge is associative. [infer.merge_ops] counts both
+   folds over all documents. *)
+let infer_run ?(equiv = Jtype.Merge.Kind) ?budget ?options ?policy ?inject
+    ?checkpoint ?resume ?(engine = `Streaming) ?jobs
+    ?(telemetry = Telemetry.nop) text =
+  Parallel.with_kernel_stats telemetry @@ fun () ->
+  let merge pairs =
+    Telemetry.span telemetry "infer" (fun () ->
+        ( Jtype.Merge.merge_all ~equiv (List.map fst pairs),
+          Jtype.Counting.merge_all ~equiv (List.map snd pairs) ))
+  in
+  let codec =
+    { encode =
+        (fun pairs ->
+          let t, c = merge pairs in
+          Json.Value.Object
+            [ ("jtype", Jtype.Types.to_json t);
+              ("counting", Jtype.Counting.to_json c) ]);
+      decode =
+        (function
+        | Json.Value.Object fields -> (
+            match
+              (List.assoc_opt "jtype" fields, List.assoc_opt "counting" fields)
+            with
+            | Some tj, Some cj ->
+                let* t = Jtype.Types.of_json tj in
+                let* c = Jtype.Counting.of_json cj in
+                Ok [ (t, c) ]
+            | _ -> Error "checkpoint: inference payload missing jtype/counting")
+        | _ -> Error "checkpoint: inference payload must be an object") }
+  in
+  let* pairs, ingest, sup =
+    execute ?budget ?options ?policy ?inject ?checkpoint ?resume ?jobs
+      ~telemetry
+      ~job:(lazy ("infer:" ^ equiv_tag equiv))
+      ~engine ~op:(Infer equiv) ~codec text
+  in
+  let t, c = merge pairs in
+  if Telemetry.is_recording telemetry then begin
+    Telemetry.count telemetry "infer.merge_ops"
+      (2 * max 0 (ingest.Resilient.report.Resilient.ok - 1));
+    Telemetry.observe telemetry "infer.union_width"
+      (float_of_int (Inference.Parametric.union_width t))
+  end;
+  Ok ((t, c), ingest, sup)
 
-(* decode every completed shard's payload — resumed and fresh alike take
-   this path, so a corrupt journal can only surface as an explicit error,
-   never as silently different output *)
-let decode_payloads ~decode results =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | (_, `Ok (ing, pjson, _)) :: rest ->
-        let* v = decode (ing : Resilient.ingest) pjson in
-        go (v :: acc) rest
-    | (_, `Poisoned _) :: rest -> go acc rest
+let infer_ndjson_supervised ?equiv ?(name = "Root") ?budget ?options ?policy
+    ?inject ?checkpoint ?resume ?engine ?jobs ?telemetry text =
+  let* (t, c), ingest, sup =
+    infer_run ?equiv ?budget ?options ?policy ?inject ?checkpoint ?resume
+      ?engine ?jobs ?telemetry text
   in
-  go [] results
+  let inferred =
+    if ingest.Resilient.report.Resilient.ok = 0 then None
+    else Some (build_inferred ~name t c)
+  in
+  Ok (inferred, ingest, sup)
 
-let infer_ndjson_supervised ?(equiv = Jtype.Merge.Kind) ?name ?budget ?options
-    ?policy ?inject ?checkpoint ?resume ?(engine = `Streaming) ?jobs ?telemetry
-    text =
-  Parallel.with_kernel_stats (Option.value telemetry ~default:Telemetry.nop)
-  @@ fun () ->
-  let encode_pair t c =
-    Json.Value.Object
-      [ ("jtype", Jtype.Types.to_json t);
-        ("counting", Jtype.Counting.to_json c) ]
+let infer_ndjson_resilient ?equiv ?name ?budget ?engine ?jobs ?telemetry text =
+  let inferred, ingest, _ =
+    unjournaled
+      (infer_ndjson_supervised ?equiv ?name ?budget ~policy:Supervisor.no_retry
+         ?engine ?jobs ?telemetry text)
   in
-  let run_shard =
-    match engine with
-    | `Tree ->
-        tree_run_shard (fun (ing : Resilient.ingest) ->
-            let t = Inference.Parametric.infer ~equiv ing.Resilient.docs in
-            let c = Jtype.Counting.infer ~equiv ing.Resilient.docs in
-            encode_pair t c)
-    | `Streaming ->
-        (* the shard's partial is reduced from the per-document pairs with
-           the same merges the tree shard's [infer] applies to its
-           materialized documents, so the journaled payload is identical *)
-        streaming_run_shard
-          (streaming_infer_doc ~equiv)
-          (fun pairs ->
-            let t = Jtype.Merge.merge_all ~equiv (List.map fst pairs) in
-            let c = Jtype.Counting.merge_all ~equiv (List.map snd pairs) in
-            encode_pair t c)
+  (inferred, ingest)
+
+let infer_ndjson ?equiv ?(name = "Root") ?engine ?jobs ?telemetry text =
+  let (t, c), ingest, _ =
+    unjournaled
+      (infer_run ?equiv ~budget:Resilient.unbounded_budget
+         ~policy:Supervisor.no_retry ?engine ?jobs ?telemetry text)
   in
-  let decode _ing pjson =
-    match pjson with
-    | Json.Value.Object fields -> (
-        match (List.assoc_opt "jtype" fields, List.assoc_opt "counting" fields) with
-        | Some tj, Some cj ->
-            let* t = Jtype.Types.of_json tj in
-            let* c = Jtype.Counting.of_json cj in
-            Ok (t, c)
-        | _ -> Error "checkpoint: inference payload missing jtype/counting")
-    | _ -> Error "checkpoint: inference payload must be an object"
+  match ingest.Resilient.dead with
+  | d :: _ -> Error d.Resilient.error
+  | [] -> Ok (build_inferred ~name t c)
+
+let validate_collection ?config ?compiled ?(jobs = 1) ?telemetry ~root values =
+  let failures =
+    Parallel.validate ?config ?compiled ~jobs ?telemetry ~root values
   in
-  match
-    supervised_engine ?budget ?options ?policy ?inject ?checkpoint ?resume
-      ?jobs ?telemetry
-      ~job:("infer:" ^ equiv_tag equiv)
-      ~engine:(match engine with `Tree -> "tree" | `Streaming -> "streaming")
-      ~run_shard text
-  with
-  | Error e -> Error e
-  | Ok (results, sup) ->
-      let ingest = merge_supervised results text in
-      let* partials = decode_payloads ~decode results in
-      let inferred =
-        (* the streaming engine keeps [docs] empty, so "did anything
-           survive" reads off the report — identical for the tree engine,
-           whose document list has exactly [report.ok] entries *)
-        match ingest.Resilient.report.Resilient.ok with
-        | 0 -> None
-        | _ ->
-            let t = Jtype.Merge.merge_all ~equiv (List.map fst partials) in
-            let c = Jtype.Counting.merge_all ~equiv (List.map snd partials) in
-            Some (build_inferred ~name:(Option.value name ~default:"Root") t c)
-      in
-      Ok (inferred, ingest, sup)
+  if failures = [] then Ok (List.length values) else Error failures
 
 let validation_error_to_json (e : Jsonschema.Validate.error) =
   Json.Value.Object
@@ -481,118 +411,78 @@ let validation_error_of_json j =
       | _ -> Error "checkpoint: malformed validation error")
   | _ -> Error "checkpoint: validation error must be an object"
 
+(* one entry per document: [null] when it validated, else its errors *)
+let verdicts_codec =
+  let rec errors acc = function
+    | [] -> Ok (Error (List.rev acc))
+    | ej :: more ->
+        let* e = validation_error_of_json ej in
+        errors (e :: acc) more
+  in
+  let rec decode acc = function
+    | [] -> Ok (List.rev acc)
+    | Json.Value.Null :: rest -> decode (Ok () :: acc) rest
+    | Json.Value.Array ejs :: rest ->
+        let* v = errors [] ejs in
+        decode (v :: acc) rest
+    | _ :: _ -> Error "checkpoint: malformed validation verdict"
+  in
+  { encode =
+      (fun verdicts ->
+        Json.Value.Array
+          (List.map
+             (function
+               | Ok () -> Json.Value.Null
+               | Error es ->
+                   Json.Value.Array (List.map validation_error_to_json es))
+             verdicts));
+    decode =
+      (function
+      | Json.Value.Array items -> decode [] items
+      | _ -> Error "checkpoint: validation payload must be an array") }
+
 let validate_ndjson_supervised ?config ?(compiled = true) ?budget ?options
     ?policy ?inject ?checkpoint ?resume ?(engine = `Streaming) ?jobs
     ?telemetry ~root text =
-  (* one shared plan for every shard and every retry attempt; the plan is
-     immutable, so a retried shard revalidates through the same closures *)
-  let plan_r =
-    if not compiled then None
-    else Some (Jsonschema.Compile.plan_for ?telemetry root)
-  in
-  let check =
-    match plan_r with
-    | None -> fun v -> Jsonschema.Validate.validate ?config ~root v
-    | Some (Ok plan) -> fun v -> Jsonschema.Compile.run ?config plan v
-    | Some (Error es) -> fun _ -> Error es
-  in
-  let encode_failures failures =
-    Json.Value.Array
-      (List.map
-         (fun (i, es) ->
-           Json.Value.Object
-             [ ("doc", Json.Value.Int i);
-               ("errors", Json.Value.Array (List.map validation_error_to_json es)) ])
-         failures)
-  in
-  let streaming =
-    match (engine, plan_r) with
-    | `Streaming, Some (Ok plan) -> Some plan
-    | _ -> None
-  in
-  let run_shard =
-    match streaming with
-    | None ->
-        tree_run_shard (fun (ing : Resilient.ingest) ->
-            List.mapi
-              (fun i v ->
-                match check v with
-                | Ok () -> None
-                | Error es -> Some (i, es))
-              ing.Resilient.docs
-            |> List.filter_map Fun.id |> encode_failures)
-    | Some plan ->
-        streaming_run_shard
-          (streaming_validate_doc ?config plan)
-          (fun verdicts -> encode_failures (indexed_failures verdicts))
-  in
-  let decode _ing pjson =
-    match pjson with
-    | Json.Value.Array items ->
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | Json.Value.Object fields :: rest -> (
-              match
-                (List.assoc_opt "doc" fields, List.assoc_opt "errors" fields)
-              with
-              | Some (Json.Value.Int i), Some (Json.Value.Array ejs) ->
-                  let rec errs acc = function
-                    | [] -> Ok (List.rev acc)
-                    | ej :: more ->
-                        let* e = validation_error_of_json ej in
-                        errs (e :: acc) more
-                  in
-                  let* es = errs [] ejs in
-                  go ((i, es) :: acc) rest
-              | _ -> Error "checkpoint: malformed validation failure")
-          | _ :: _ -> Error "checkpoint: malformed validation failure"
-        in
-        go [] items
-    | _ -> Error "checkpoint: validation payload must be an array"
-  in
   (* the schema is part of the job identity: a journal written against one
-     schema must not resume a run against another. The engine travels in
-     the journal header's own field — note it is the *effective* engine: a
-     `Streaming request falls back to tree execution when the plan does not
-     compile, and the journal records what actually ran. *)
+     schema must not resume a run against another. Fingerprinting prints the
+     whole schema, so only a journaled run pays for it. *)
   let job =
-    "validate:" ^ Checkpoint.fingerprint (Json.Printer.to_string root)
+    lazy ("validate:" ^ Checkpoint.fingerprint (Json.Printer.to_string root))
   in
-  match
-    supervised_engine ?budget ?options ?policy ?inject ?checkpoint ?resume
-      ?jobs ?telemetry ~job
-      ~engine:(match streaming with None -> "tree" | Some _ -> "streaming")
-      ~run_shard text
-  with
-  | Error e -> Error e
-  | Ok (results, sup) ->
-      let ingest = merge_supervised results text in
-      let* locals = decode_payloads ~decode results in
-      (* rebase each completed shard's document-local failure indices onto
-         the merged document list; [report.ok] is the shard's document
-         count whether or not the documents were materialized *)
-      let doc_counts =
-        List.filter_map
-          (fun (_, r) ->
-            match r with
-            | `Ok ((ing : Resilient.ingest), _, _) ->
-                Some ing.Resilient.report.Resilient.ok
-            | `Poisoned _ -> None)
-          results
-      in
-      let failures =
-        let _, rev =
-          List.fold_left2
-            (fun (base, acc) n fs ->
-              ( base + n,
-                List.rev_append
-                  (List.map (fun (i, es) -> (base + i, es)) fs)
-                  acc ))
-            (0, []) doc_counts locals
-        in
-        List.rev rev
-      in
-      Ok (ingest, failures, sup)
+  let* verdicts, ingest, sup =
+    execute ?budget ?options ?policy ?inject ?checkpoint ?resume ?jobs
+      ?telemetry ~job ~engine
+      ~op:(Validate { config; compiled; root })
+      ~codec:verdicts_codec text
+  in
+  (* indices into the surviving documents, in input order *)
+  let failures =
+    List.mapi
+      (fun i v -> match v with Ok () -> None | Error es -> Some (i, es))
+      verdicts
+    |> List.filter_map Fun.id
+  in
+  Ok (ingest, failures, sup)
+
+let validate_ndjson ?config ?compiled ?budget ?engine ?jobs ?telemetry ~root
+    text =
+  let ingest, failures, _ =
+    unjournaled
+      (validate_ndjson_supervised ?config ?compiled ?budget
+         ~policy:Supervisor.no_retry ?engine ?jobs ?telemetry ~root text)
+  in
+  (ingest, failures)
+
+let validate_ndjson_strict ?config ?compiled ?engine ?jobs ?telemetry ~root
+    text =
+  let ingest, failures =
+    validate_ndjson ?config ?compiled ~budget:Resilient.unbounded_budget
+      ?engine ?jobs ?telemetry ~root text
+  in
+  match ingest.Resilient.dead with
+  | d :: _ -> Error d.Resilient.error
+  | [] -> Ok (ingest.Resilient.report.Resilient.ok, failures)
 
 type checked = {
   chk_inferred : inferred option;
@@ -687,7 +577,10 @@ let translate ?(equiv = Jtype.Merge.Kind) values =
             })
 
 let translate_ndjson ?equiv ?budget text =
-  let r = Resilient.ingest ?budget text in
+  let r, _ =
+    unjournaled
+      (ingest_ndjson_supervised ?budget ~policy:Supervisor.no_retry text)
+  in
   match r.Resilient.docs with
   | [] -> (None, r)
   | docs -> (Some (translate ?equiv docs), r)

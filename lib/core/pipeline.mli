@@ -20,57 +20,115 @@ val infer :
     identical for any job count. [telemetry] (default {!Telemetry.nop})
     observes without changing any output — see {!Telemetry}. *)
 
+(** {1 NDJSON pipelines}
+
+    Every NDJSON entry point below runs one shard executor: the input is cut
+    into newline-aligned shards (one per job; a [max_docs] budget keeps the
+    whole input as one shard, since the cap is global and order-dependent),
+    each shard runs {!Resilient.ingest_with} with the operation's
+    per-document step under {!Supervisor.run}, and the completed shards'
+    per-document results are reduced once, in input order. There is one
+    implementation per operation; the entry points differ only in policy:
+
+    {v
+    policy      budget     attempts  journal   first dead letter
+    fail-fast   unbounded  1         no        returned as Error
+    quarantine  ?budget    1         no        kept in the ingest
+    supervised  ?budget    ?policy   optional  kept in the ingest
+    v}
+
+    Fail-fast: {!infer_ndjson}, {!validate_ndjson_strict}. Quarantine:
+    {!infer_ndjson_resilient}, {!validate_ndjson}. Supervised:
+    {!ingest_ndjson_supervised}, {!infer_ndjson_supervised},
+    {!validate_ndjson_supervised}, {!check_ndjson}.
+
+    Fail-fast and quarantine are {!Supervisor.no_retry} with no journal;
+    fail-fast additionally uses {!Resilient.unbounded_budget}. Under every
+    policy, budgets, dead-letter coordinates and reports are those of one
+    sequential scan, for any [jobs]. A shard whose work raises is poisoned,
+    never propagated: it becomes one {!Resilient.dead_letter} of kind
+    [Shard "crash"] in whole-input coordinates ([report.poisoned] counts
+    it), which fail-fast returns as its [Error] like any first dead letter.
+    No exception escapes an NDJSON entry point.
+
+    The returned {!Resilient.ingest} carries dead letters and the report;
+    its [docs] list is empty for every operation except
+    {!ingest_ndjson_supervised}, under both engines — read document counts
+    off [report.ok].
+
+    [telemetry] (default {!Telemetry.nop}) receives the ingest and parser
+    counters, [supervisor.attempts], and when the input splits into
+    several shards the [parallel.shards] counter and [ingest.shard] /
+    [ingest.merge] spans;
+    inference adds the [infer] span, [infer.merge_ops],
+    [infer.union_width] and the {!Parallel.with_kernel_stats} counters. *)
+
 type engine = [ `Tree | `Streaming ]
-(** How the NDJSON pipelines execute. [`Tree] (the executable spec)
-    materializes every document as a {!Json.Value.t} and folds over the
-    trees. [`Streaming] (the default) fuses parsing with the fold:
-    inference types the token stream directly
-    ({!Inference.Streaming.infer_tokens}) and validation walks a compiled
-    plan over it, skimming subtrees the plan provably ignores
-    ({!Jsonschema.Compile.run_stream}). The two engines produce
-    byte-identical inferred types, verdicts, error lists and dead-letter
-    coordinates — enforced by a differential QCheck oracle — and differ
-    only in cost and in the [stream.*] telemetry the streaming engine adds.
-    The one observable difference: streaming pipelines return their
-    {!Resilient.ingest} with an empty [docs] list (not materializing it is
-    the point); consumers must read counts off [report], not [docs]. *)
+(** How a document is read; chosen in one place and affecting cost only.
+    [`Tree] (the executable spec) parses each document into a
+    {!Json.Value.t} and applies the operation to it. [`Streaming] (the
+    default) fuses parsing with the operation: inference types the token
+    stream directly ({!Inference.Streaming.infer_tokens}) and validation
+    walks a compiled plan over it, skimming subtrees the plan provably
+    ignores ({!Jsonschema.Compile.run_stream}). Both produce identical
+    per-document results and parse errors, and share everything after
+    them — dead letters, reduce, journal — so inferred types, verdicts,
+    error lists and reports are byte-identical (a differential oracle
+    pins this); only the streaming engine's [stream.*] telemetry
+    differs. *)
 
 val infer_ndjson :
   ?equiv:Jtype.Merge.equiv -> ?name:string -> ?engine:engine -> ?jobs:int ->
   ?telemetry:Telemetry.sink -> string -> (inferred, string) result
-(** Strict inference from raw text: fail-fast on the first bad document,
-    with global line/column in the error. The default [`Streaming] engine
-    types the token stream shard-parallel without materializing documents;
-    [`Tree] parses through {!Parallel.parse_ndjson_strict}. Same result,
-    same error either way. *)
+(** Fail-fast inference from raw text: the first bad document (by input
+    position) aborts with its whole-input line/column error. An empty input
+    infers the empty type. *)
 
 val infer_ndjson_resilient :
   ?equiv:Jtype.Merge.equiv -> ?name:string -> ?budget:Resilient.budget ->
   ?engine:engine -> ?jobs:int -> ?telemetry:Telemetry.sink ->
   string -> inferred option * Resilient.ingest
-(** Guarded variant: corrupted or over-budget documents are quarantined
-    (see the returned {!Resilient.ingest}) and inference runs on the
-    survivors; [None] when nothing survived. Never raises. [jobs > 1]
-    shards ingestion and inference over a domain pool ({!Parallel}) with
-    byte-identical results. Under the default [`Streaming] engine each
-    shard folds tokens straight into per-document types with a per-shard
-    field-name interning scratch, and the returned ingest carries no
-    documents. *)
+(** Quarantining inference: corrupted or over-budget documents become dead
+    letters (default budget {!Resilient.default_budget}) and inference runs
+    on the survivors; [None] when nothing survived. *)
 
-(** {1 Supervised execution with checkpoint/resume}
+val validate_ndjson :
+  ?config:Jsonschema.Validate.config -> ?compiled:bool ->
+  ?budget:Resilient.budget -> ?engine:engine ->
+  ?jobs:int -> ?telemetry:Telemetry.sink -> root:Json.Value.t -> string ->
+  Resilient.ingest * (int * Jsonschema.Validate.error list) list
+(** Quarantining validation from raw text: unparseable documents are dead
+    letters, surviving documents are validated (indices are into the
+    surviving documents in input order). [compiled] and [engine] as in
+    {!validate_ndjson_supervised}. *)
 
-    Fault-tolerant variants of the resilient pipelines: shards run under
-    {!Supervisor.run} (retry with deterministic backoff, cooperative
-    per-shard deadlines, graceful degradation), a shard that exhausts its
-    attempts is {e quarantined} as one {!Resilient.dead_letter} with
-    whole-input coordinates ([kind = Shard _], [report.poisoned] counts
-    it) instead of failing the job, and [?checkpoint] journals each
-    completed shard so an interrupted run resumes byte-identically
-    ({!Checkpoint}). Results are deterministic: same input, same policy,
-    same fault plan — same merged output, for any [jobs], interrupted or
-    not. Resume matches journal entries by shard coordinates, so use the
-    same [jobs] value to actually skip work (a different [jobs] is safe
-    but recomputes everything). *)
+val validate_ndjson_strict :
+  ?config:Jsonschema.Validate.config -> ?compiled:bool -> ?engine:engine ->
+  ?jobs:int -> ?telemetry:Telemetry.sink -> root:Json.Value.t -> string ->
+  (int * (int * Jsonschema.Validate.error list) list, string) result
+(** Fail-fast validation from raw text: the first unparseable document
+    aborts with its whole-input line/column error, otherwise
+    [Ok (ndocs, failures)] ([failures = []] means every document
+    validated). *)
+
+(** {2 Supervision with checkpoint/resume}
+
+    The supervised entry points take the {!Supervisor.policy} (default
+    {!Supervisor.default_policy}: retry with deterministic backoff,
+    cooperative per-shard deadlines, graceful degradation), a
+    worker-fault plan [inject] keyed by {e global} shard index (see
+    {!Chaos.worker_faults}; consistent across retries and resume, never
+    consulted for journaled shards), and a [checkpoint] journal. A shard
+    that exhausts its attempts is quarantined as one [Shard _] dead letter
+    instead of failing the job. [checkpoint] journals each completed
+    shard's results so an interrupted run resumes byte-identically
+    ({!Checkpoint}); the journal is written and read only when given. Same
+    input, policy and fault plan — same output, for any [jobs],
+    interrupted or not. Resume matches journal entries by shard
+    coordinates, so use the same [jobs] value to actually skip work (a
+    different [jobs] is safe but recomputes everything). [Error] only for
+    an unusable journal (wrong job, engine or input fingerprint, or an
+    undecodable entry); shard failures never error. *)
 
 type supervision = {
   sup_stats : Supervisor.stats;
@@ -84,11 +142,9 @@ val ingest_ndjson_supervised :
   ?checkpoint:string -> ?resume:bool -> ?jobs:int ->
   ?telemetry:Telemetry.sink -> string ->
   (Resilient.ingest * supervision, string) result
-(** Supervised {!Parallel.ingest}. [inject] is a worker-fault plan keyed
-    by {e global} shard index (see {!Chaos.worker_faults}) — consistent
-    across retries and resume, and never consulted for journaled shards.
-    [Error] only for an unusable journal (wrong job, fingerprint
-    mismatch); shard failures never error. *)
+(** Supervised {!Resilient.ingest}: the surviving documents in input order,
+    the dead letters and the report. [options] supplies non-budget parser
+    knobs (duplicate-key policy, ...). *)
 
 val infer_ndjson_supervised :
   ?equiv:Jtype.Merge.equiv -> ?name:string -> ?budget:Resilient.budget ->
@@ -97,14 +153,11 @@ val infer_ndjson_supervised :
   ?checkpoint:string -> ?resume:bool -> ?engine:engine -> ?jobs:int ->
   ?telemetry:Telemetry.sink -> string ->
   (inferred option * Resilient.ingest * supervision, string) result
-(** Supervised {!infer_ndjson_resilient}: each shard journals its partial
-    type ({!Jtype.Types.to_json} / {!Jtype.Counting.to_json}) alongside
-    its ingest; the final type merges completed shards' partials, so only
-    genuinely-poisoned shards' documents are missing from it. The journal
-    job tag includes [equiv] — a [Kind] journal cannot resume a [Label]
-    run — and the journal header records the engine, since a streaming
-    journal's ingest records carry no documents: a [`Tree] journal refuses
-    to resume a [`Streaming] run and vice versa. *)
+(** Supervised {!infer_ndjson_resilient}: a journaled shard stores its
+    partial type ({!Jtype.Types.to_json} / {!Jtype.Counting.to_json}), so
+    only genuinely-poisoned shards' documents are missing from the final
+    type. The journal job tag includes [equiv] — a [Kind] journal cannot
+    resume a [Label] run — and the journal header records the engine. *)
 
 val validate_ndjson_supervised :
   ?config:Jsonschema.Validate.config -> ?compiled:bool ->
@@ -116,12 +169,12 @@ val validate_ndjson_supervised :
   (Resilient.ingest * (int * Jsonschema.Validate.error list) list * supervision,
    string)
   result
-(** Supervised {!validate_ndjson}: failure indices are into the merged
-    surviving-document sequence (the tree engine's [ingest.docs]), exactly
-    as the unsupervised path reports them. [compiled] (default [true])
-    compiles the schema once and shares the plan across shards and retry
-    attempts; the default [`Streaming] engine additionally requires it —
-    with [compiled = false], or when the schema fails to compile, the tree
+(** Supervised {!validate_ndjson}: failure indices are into the surviving
+    documents in input order. [compiled] (default [true]) compiles the
+    schema once and shares the plan across shards and retry attempts
+    ([false] runs the tree-walk interpreter, the reference the plan is
+    tested against); the [`Streaming] engine needs the plan, so with
+    [compiled = false], or when the schema fails to compile, the tree
     engine runs regardless of [engine]. The journal job tag fingerprints
     the schema and the journal header records the {e effective} engine, so
     a journal written against one schema or engine refuses to resume a run
@@ -144,9 +197,9 @@ val check_ndjson :
   ?telemetry:Telemetry.sink -> ?vconfig:Jsonschema.Validate.config ->
   root:Json.Value.t -> string ->
   (checked * Resilient.ingest * supervision, string) result
-(** Schema-drift check: infer the type of the corpus (through the full
-    supervised/parallel machinery of {!infer_ndjson_supervised}, including
-    engine choice and checkpoint/resume), then decide whether that type is
+(** Schema-drift check: infer the type of the corpus (exactly as
+    {!infer_ndjson_supervised}, under the same policy, engine and
+    checkpoint/resume), then decide whether that type is
     contained in schema [root] with {!Jtype.Contain.check}. The
     containment step's cost depends on the type and the schema, not the
     corpus size. [vconfig] configures witness verification (notably
@@ -154,7 +207,7 @@ val check_ndjson :
     [subtype.unknown] from the containment step are published to
     [telemetry]. *)
 
-(** {1 Validation pipeline} *)
+(** {1 Validating a collection in memory} *)
 
 val validate_collection :
   ?config:Jsonschema.Validate.config -> ?compiled:bool -> ?jobs:int ->
@@ -165,31 +218,6 @@ val validate_collection :
     validates document batches shard-parallel. [compiled] (default [true])
     shares one {!Jsonschema.Compile} plan across shards; verdicts and
     error reports are byte-identical either way. *)
-
-val validate_ndjson :
-  ?config:Jsonschema.Validate.config -> ?compiled:bool ->
-  ?budget:Resilient.budget -> ?engine:engine ->
-  ?jobs:int -> ?telemetry:Telemetry.sink -> root:Json.Value.t -> string ->
-  Resilient.ingest * (int * Jsonschema.Validate.error list) list
-(** Guarded validation from raw text: unparseable documents are quarantined
-    in the ingest report, surviving documents are validated (indices are
-    into the surviving-document sequence — the tree engine's
-    [ingest.docs]). Never raises. [jobs > 1] shards both ingestion and
-    validation over a domain pool. The default [`Streaming] engine fuses
-    parse and validation per shard through the compiled plan's access
-    analysis ({!Jsonschema.Compile.run_stream}); it requires [compiled]
-    (the default) and a well-formed schema, falling back to the tree
-    engine otherwise. *)
-
-val validate_ndjson_strict :
-  ?config:Jsonschema.Validate.config -> ?compiled:bool -> ?engine:engine ->
-  ?jobs:int -> ?telemetry:Telemetry.sink -> root:Json.Value.t -> string ->
-  (int * (int * Jsonschema.Validate.error list) list, string) result
-(** Fail-fast validation from raw text: the first unparseable document
-    aborts with its (whole-input line/column) error, otherwise
-    [Ok (ndocs, failures)] — the document count and the failing indices
-    with their errors ([failures = []] means every document validated).
-    Engine semantics as in {!validate_ndjson}. *)
 
 (** {1 Dataset profiling} *)
 
@@ -214,5 +242,6 @@ val translate :
 val translate_ndjson :
   ?equiv:Jtype.Merge.equiv -> ?budget:Resilient.budget -> string ->
   (translated, string) result option * Resilient.ingest
-(** Guarded translation from raw text: ingest under the budget, then
-    {!translate} the survivors ([None] when nothing survived). *)
+(** Guarded translation from raw text: quarantining ingestion under the
+    budget, then {!translate} the survivors ([None] when nothing
+    survived). *)

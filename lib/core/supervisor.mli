@@ -62,8 +62,8 @@ val default_policy : policy
 
 val no_retry : policy
 (** Single attempt, no deadline, no degradation: supervision reduced to
-    poison isolation — the pre-supervisor semantics, minus the job-killing
-    exception. *)
+    poison isolation. The fail-fast and quarantine policies of
+    {!Pipeline} run under it. *)
 
 val backoff_ms : policy -> shard:int -> attempt:int -> float
 (** The deterministic delay inserted after failed [attempt] of [shard]:

@@ -12,7 +12,9 @@ let rec to_schema (t : Types.t) : Jsonschema.Schema.t =
       Schema
         { empty with
           types = Some [ `Array ];
-          items = (match elem.Types.node with Types.Bot -> None | _ -> Some (Items_one (to_schema elem)));
+          (* always present: [Arr Bot] is [items: false], not an
+             unconstrained array *)
+          items = Some (Items_one (to_schema elem));
         }
   | Types.Rec fields ->
       Schema

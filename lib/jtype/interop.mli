@@ -6,6 +6,9 @@
     its exact inverse on that fragment and refuses everything else. *)
 
 val to_schema : Types.t -> Jsonschema.Schema.t
+(** Arrays always carry [items]; the empty-array type [Arr Bot] is
+    [items: false], so an inferred schema admits no more than the type. *)
+
 val to_schema_json : Types.t -> Json.Value.t
 
 val of_schema : Jsonschema.Schema.t -> Types.t option

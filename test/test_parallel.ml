@@ -593,6 +593,335 @@ let test_checkpoint_rejects_other_job () =
       | Ok _ -> Alcotest.fail "resume under a different job tag must be refused"
       | Error _ -> ())
 
+(* --- the pipeline matrix -------------------------------------------------- *)
+
+(* One oracle over every NDJSON entry point of Pipeline: operation {ingest,
+   infer, validate, check} x engine {tree, streaming} x policy {fail-fast,
+   quarantine, supervised without faults} x jobs {1, 4}, on clean and on
+   chaos-corrupted text. Every cell must render exactly what the tree
+   engine renders at jobs=1 under the same policy; for validation the
+   reference is the tree-walk interpreter ([compiled = false]) and the
+   compiled plan runs with its cache on and off. Ingest has one engine,
+   and only infer and validate have fail-fast entry points. *)
+
+type policy = Fail_fast | Quarantine | Supervised
+
+let policy_name = function
+  | Fail_fast -> "fail-fast"
+  | Quarantine -> "quarantine"
+  | Supervised -> "supervised"
+
+type op = Ingest | Infer | Validate | Check
+
+let op_name = function
+  | Ingest -> "ingest"
+  | Infer -> "infer"
+  | Validate -> "validate"
+  | Check -> "check"
+
+(* an engine of the matrix: the pipeline engine plus, for validation,
+   whether the schema runs as a compiled plan (and through its cache) *)
+type engine = { engine : Pipeline.engine; compiled : bool; cache : bool }
+
+let engine_name e =
+  (match e.engine with `Tree -> "tree" | `Streaming -> "streaming")
+  ^ (if e.compiled then "" else "/interpreter")
+  ^ if e.cache then "" else "/no-cache"
+
+let tree_engine = { engine = `Tree; compiled = true; cache = true }
+
+let engines_for = function
+  | Ingest -> [ tree_engine ]
+  | Infer | Check -> [ tree_engine; { tree_engine with engine = `Streaming } ]
+  | Validate ->
+      [ { tree_engine with compiled = false }; tree_engine;
+        { tree_engine with engine = `Streaming };
+        { engine = `Streaming; compiled = true; cache = false } ]
+
+let policies_for = function
+  | Infer | Validate -> [ Fail_fast; Quarantine; Supervised ]
+  | Ingest | Check -> [ Quarantine; Supervised ]
+
+(* several failing keywords per document on both corpora, nested paths,
+   and fields the streaming engine skips *)
+let matrix_root =
+  Json.Parser.parse_exn
+    {|{"type": "object", "required": ["f0", "f1", "id"],
+       "properties": {
+         "f0": {"type": "integer", "multipleOf": 3},
+         "f1": {"enum": ["schema", "data"]},
+         "f2": {"const": false},
+         "user": {"type": "object", "required": ["name"],
+                  "properties": {"followers_count": {"maximum": 50000}}},
+         "entities": {"properties": {"urls": {"items": {"required": ["display_url"]}}}}}}|}
+
+let render_inferred = function
+  | None -> "inferred: none"
+  | Some (i : Pipeline.inferred) ->
+      String.concat "\n"
+        [ Jtype.Types.to_string i.Pipeline.jtype;
+          Jtype.Counting.to_string i.Pipeline.counting;
+          Json.Printer.to_string i.Pipeline.json_schema;
+          i.Pipeline.typescript; i.Pipeline.swift ]
+
+let render_failures fs =
+  String.concat "\n"
+    (List.map
+       (fun (i, es) ->
+         Printf.sprintf "%d: %s" i
+           (String.concat " | " (List.map Jsonschema.Validate.string_of_error es)))
+       fs)
+
+let sup_policy = function
+  | Supervised -> test_policy ~retries:2 ()
+  | Fail_fast | Quarantine -> Supervisor.no_retry
+
+let or_fail = function Ok v -> v | Error e -> Alcotest.fail e
+
+(* One cell: its rendering and, except under fail-fast, its ingest. A fault
+   plan [inject] reaches the shards through the supervised entry points,
+   which the quarantine entry points call with [Supervisor.no_retry]. *)
+let run_cell ?inject ~telemetry op e policy ~jobs text =
+  let config =
+    { Jsonschema.Validate.default_config with Jsonschema.Validate.telemetry }
+  in
+  let engine = e.engine and compiled = e.compiled in
+  Jsonschema.Compile.set_cache e.cache;
+  Fun.protect ~finally:(fun () -> Jsonschema.Compile.set_cache true)
+  @@ fun () ->
+  match (op, policy) with
+  | Ingest, _ ->
+      let r, _ =
+        or_fail
+          (Pipeline.ingest_ndjson_supervised ~policy:(sup_policy policy)
+             ?inject ~jobs ~telemetry text)
+      in
+      (ingest_fingerprint r, Some r)
+  | Infer, Fail_fast -> (
+      match Pipeline.infer_ndjson ~engine ~jobs ~telemetry text with
+      | Ok i -> (render_inferred (Some i), None)
+      | Error e -> ("error: " ^ e, None))
+  | Infer, Quarantine when inject = None ->
+      let i, r = Pipeline.infer_ndjson_resilient ~engine ~jobs ~telemetry text in
+      (render_inferred i ^ "\n" ^ ingest_fingerprint r, Some r)
+  | Infer, (Quarantine | Supervised) ->
+      let i, r, _ =
+        or_fail
+          (Pipeline.infer_ndjson_supervised ~policy:(sup_policy policy)
+             ?inject ~engine ~jobs ~telemetry text)
+      in
+      (render_inferred i ^ "\n" ^ ingest_fingerprint r, Some r)
+  | Validate, Fail_fast -> (
+      match
+        Pipeline.validate_ndjson_strict ~config ~compiled ~engine ~jobs
+          ~telemetry ~root:matrix_root text
+      with
+      | Ok (n, fs) -> (Printf.sprintf "%d docs\n%s" n (render_failures fs), None)
+      | Error e -> ("error: " ^ e, None))
+  | Validate, Quarantine when inject = None ->
+      let r, fs =
+        Pipeline.validate_ndjson ~config ~compiled ~engine ~jobs ~telemetry
+          ~root:matrix_root text
+      in
+      (render_failures fs ^ "\n" ^ ingest_fingerprint r, Some r)
+  | Validate, (Quarantine | Supervised) ->
+      let r, fs, _ =
+        or_fail
+          (Pipeline.validate_ndjson_supervised ~config ~compiled
+             ~policy:(sup_policy policy) ?inject ~engine ~jobs ~telemetry
+             ~root:matrix_root text)
+      in
+      (render_failures fs ^ "\n" ^ ingest_fingerprint r, Some r)
+  | Check, _ ->
+      let c, r, _ =
+        or_fail
+          (Pipeline.check_ndjson ~policy:(sup_policy policy) ?inject ~engine
+             ~jobs ~telemetry ~root:matrix_root text)
+      in
+      ( (match c.Pipeline.chk_verdict with
+        | None -> "verdict: none"
+        | Some v -> Jtype.Contain.verdict_to_string v)
+        ^ "\n"
+        ^ render_inferred c.Pipeline.chk_inferred
+        ^ "\n" ^ ingest_fingerprint r,
+        Some r )
+
+(* every metric name a sink saw, bar the streaming engine's own stream.* *)
+let key_set sink =
+  let s = Telemetry.snapshot sink in
+  List.map fst s.Telemetry.counters
+  @ List.map fst s.Telemetry.gauges
+  @ List.map fst s.Telemetry.histograms
+  @ List.map (fun sp -> sp.Telemetry.sp_path) s.Telemetry.spans
+  |> List.filter (fun k -> not (String.starts_with ~prefix:"stream." k))
+  |> List.sort_uniq compare
+
+let matrix_ops = [ Ingest; Infer; Validate; Check ]
+let matrix_texts = [ ("clean", clean_text); ("corrupted", messy_text) ]
+
+let cell_label op e policy jobs tname =
+  Printf.sprintf "%s %s %s jobs=%d %s" (op_name op) (engine_name e)
+    (policy_name policy) jobs tname
+
+let test_matrix_outputs () =
+  List.iter
+    (fun (tname, text) ->
+      List.iter
+        (fun op ->
+          List.iter
+            (fun policy ->
+              let reference, _ =
+                run_cell ~telemetry:Telemetry.nop op (List.hd (engines_for op))
+                  policy ~jobs:1 text
+              in
+              List.iter
+                (fun e ->
+                  List.iter
+                    (fun jobs ->
+                      let label = cell_label op e policy jobs tname in
+                      match
+                        run_cell ~telemetry:Telemetry.nop op e policy ~jobs text
+                      with
+                      | got, _ -> Alcotest.(check string) label reference got
+                      | exception ex ->
+                          Alcotest.failf "%s raised %s" label
+                            (Printexc.to_string ex))
+                    [ 1; 4 ])
+                (engines_for op))
+            (policies_for op))
+        matrix_ops)
+    matrix_texts
+
+let test_matrix_telemetry_keys () =
+  List.iter
+    (fun (tname, text) ->
+      List.iter
+        (fun op ->
+          List.iter
+            (fun policy ->
+              List.iter
+                (fun jobs ->
+                  let keys e =
+                    (* which kernel and plan-cache counters fire depends on
+                       what earlier runs left cached: start every run cold *)
+                    Jsonschema.Compile.clear_cache ();
+                    Jtype.Merge.clear_caches ();
+                    Gc.full_major ();
+                    let sink = Telemetry.create () in
+                    ignore (run_cell ~telemetry:sink op e policy ~jobs text);
+                    key_set sink
+                  in
+                  let tree = keys tree_engine
+                  and streaming = keys { tree_engine with engine = `Streaming } in
+                  let label = cell_label op tree_engine policy jobs tname in
+                  Alcotest.(check (list string)) (label ^ " vs streaming") tree
+                    streaming;
+                  (* the interpreter compiles nothing: exactly the plan's
+                     compile and cache keys are missing *)
+                  if op = Validate then
+                    Alcotest.(check (list string))
+                      (label ^ " vs interpreter")
+                      (List.filter
+                         (fun k ->
+                           not
+                             (List.mem k
+                                [ "validate.compile_ms"; "validate.plan.nodes";
+                                  "validate.cache.hits"; "validate.cache.misses" ]))
+                         tree)
+                      (keys { tree_engine with compiled = false }))
+                [ 1; 4 ])
+            (policies_for op))
+        [ Infer; Validate; Check ])
+    matrix_texts
+
+(* A shard whose attempt raises is poisoned, never propagated: one
+   [Shard "crash"] dead letter at the shard's coordinates and nothing else
+   lost. The fault plan raises inside the attempt, where an exception from
+   the per-document step lands too. *)
+let test_matrix_raising_shard () =
+  let inject ~shard ~attempt:_ = if shard = 0 then failwith "boom" else None in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun policy ->
+          List.iter
+            (fun e ->
+              List.iter
+                (fun jobs ->
+                  let label = cell_label op e policy jobs "clean" ^ " raising" in
+                  match
+                    run_cell ~inject ~telemetry:Telemetry.nop op e policy ~jobs
+                      clean_text
+                  with
+                  | exception ex ->
+                      Alcotest.failf "%s: %s escaped" label
+                        (Printexc.to_string ex)
+                  | _, None -> Alcotest.fail (label ^ ": no ingest")
+                  | _, Some r -> (
+                      match r.Resilient.dead with
+                      | [ d ] ->
+                          Alcotest.(check string) (label ^ ": kind")
+                            "shard:crash"
+                            (Resilient.kind_name d.Resilient.kind);
+                          Alcotest.(check int) (label ^ ": at the first shard")
+                            0 d.Resilient.byte_offset;
+                          Alcotest.(check int) (label ^ ": counted") 1
+                            r.Resilient.report.Resilient.poisoned;
+                          let shards = List.length (Parallel.shards ~jobs clean_text) in
+                          Alcotest.(check bool) (label ^ ": other shards kept")
+                            (shards > 1) (r.Resilient.report.Resilient.ok > 0)
+                      | dead ->
+                          Alcotest.failf "%s: %d dead letters" label
+                            (List.length dead)))
+                [ 1; 4 ])
+            (engines_for op))
+        [ Quarantine; Supervised ])
+    matrix_ops
+
+(* Fail-fast is the no-retry execution under the unbounded budget with its
+   first dead letter as the error: the strict entry points must return
+   exactly that letter's error, for every engine and job count. *)
+let test_matrix_fail_fast () =
+  let first_error (r : Resilient.ingest) =
+    match r.Resilient.dead with
+    | d :: _ -> "error: " ^ d.Resilient.error
+    | [] -> Alcotest.fail "the corrupted corpus must have dead letters"
+  in
+  let quarantined op e ~jobs =
+    let engine = e.engine and compiled = e.compiled in
+    let budget = Resilient.unbounded_budget and policy = Supervisor.no_retry in
+    match op with
+    | Infer ->
+        let _, r, _ =
+          or_fail
+            (Pipeline.infer_ndjson_supervised ~budget ~policy ~engine ~jobs
+               messy_text)
+        in
+        r
+    | _ ->
+        let r, _, _ =
+          or_fail
+            (Pipeline.validate_ndjson_supervised ~compiled ~budget ~policy
+               ~engine ~jobs ~root:matrix_root messy_text)
+        in
+        r
+  in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun e ->
+          List.iter
+            (fun jobs ->
+              Alcotest.(check string)
+                (cell_label op e Fail_fast jobs "corrupted")
+                (first_error (quarantined op e ~jobs))
+                (fst
+                   (run_cell ~telemetry:Telemetry.nop op e Fail_fast ~jobs
+                      messy_text)))
+            [ 1; 4 ])
+        (engines_for op))
+    [ Infer; Validate ]
+
 let () =
   Alcotest.run "parallel"
     [ ("pool",
@@ -626,4 +955,13 @@ let () =
          Alcotest.test_case "rejects other engine" `Quick
            test_checkpoint_rejects_other_engine;
          Alcotest.test_case "check_ndjson verdicts" `Quick test_check_ndjson ]);
+      ("matrix",
+       [ Alcotest.test_case "outputs equal the tree engine's" `Quick
+           test_matrix_outputs;
+         Alcotest.test_case "telemetry keys agree across engines" `Quick
+           test_matrix_telemetry_keys;
+         Alcotest.test_case "a raising shard is quarantined" `Quick
+           test_matrix_raising_shard;
+         Alcotest.test_case "fail-fast is the first dead letter" `Quick
+           test_matrix_fail_fast ]);
     ]

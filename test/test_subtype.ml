@@ -139,28 +139,10 @@ let prop_contain_self =
       | Contain.Not_contained _ -> false (* would be outright unsound *)
       | Contain.Unknown _ -> true (* conservative is allowed, wrong is not *))
 
-(* [to_schema] writes the empty-array type [Arr Bot] as an unconstrained
-   [type: array] (no [items]): the one place the round trip widens *)
-let rec widen_empty_arrays (t : Types.t) =
-  match t.Types.node with
-  | Types.Arr { Types.node = Types.Bot; _ } -> Types.arr Types.any
-  | Types.Arr e -> Types.arr (widen_empty_arrays e)
-  | Types.Rec fs ->
-      Types.rec_
-        (List.map
-           (fun (f : Types.field) ->
-             Types.field ~optional:f.Types.optional f.Types.fname
-               (widen_empty_arrays f.Types.ftype))
-           fs)
-  | Types.Union ts -> Types.union (List.map widen_empty_arrays ts)
-  | Types.Any | Types.Bot | Types.Null | Types.Bool | Types.Int | Types.Num
-  | Types.Str ->
-      t
-
 let prop_galois =
   QCheck2.Test.make ~name:"galois roundtrip" ~count:1000 gen_type (fun t ->
       match Interop.of_schema (Interop.to_schema t) with
-      | Some t' -> Types.equal t' (widen_empty_arrays t)
+      | Some t' -> Types.equal t' t
       | None -> false)
 
 (* --- unit pins ---------------------------------------------------------- *)
